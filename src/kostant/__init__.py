@@ -23,7 +23,6 @@ from .residues import (
     partition_total,
     special_permutations,
 )
-from .series import TruncatedLaurentSeries
 from .vectors import (
     DominantWeight,
     ValidationError,
@@ -45,7 +44,6 @@ __all__ = [
     "Permutation",
     "RayFitFailure",
     "RayPolynomial",
-    "TruncatedLaurentSeries",
     "ValidationError",
     "as_vector",
     "deform",

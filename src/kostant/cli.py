@@ -74,8 +74,14 @@ def _parse_vector(text) -> Tuple[Fraction, ...]:
     return tuple(_parse_rational(str(tok)) for tok in items)
 
 
-def _weight_arg(raw, rank: int, basis: str, name: str) -> Tuple[Fraction, ...]:
-    entries = _parse_vector(raw)
+def _field(record: dict, key: str):
+    if key not in record:
+        raise ValidationError("missing-field", f"{record['command']} records need {key!r}")
+    return record[key]
+
+
+def _weight_arg(record: dict, name: str, rank: int, basis: str) -> Tuple[Fraction, ...]:
+    entries = _parse_vector(_field(record, name))
     if basis == "fundamental":
         if len(entries) != rank:
             raise ValidationError(
@@ -93,25 +99,35 @@ def _format_fraction(x: Fraction) -> str:
     return str(x)
 
 
+def _positive_int(value) -> bool:
+    # bool is a subclass of int, but true is not a rank
+    return isinstance(value, int) and not isinstance(value, bool) and value >= 1
+
+
 def run_record(record: dict) -> dict:
     """Execute one query record; returns a result dict (see batch mode)."""
+    if not isinstance(record, dict):
+        raise ValidationError("bad-record", "a record must be a JSON object")
+    # Tuples, not sets: membership must not hash arbitrary JSON values.
     command = record.get("command")
-    if command not in {"mult", "tensor", "kostant", "convert", "poly-mult", "poly-tensor"}:
+    if command not in ("mult", "tensor", "kostant", "convert", "poly-mult", "poly-tensor"):
         raise ValidationError("unknown-command", f"unknown command {command!r}")
     rank = record.get("rank")
-    if not isinstance(rank, int) or rank < 1:
+    if not _positive_int(rank):
         raise ValidationError("bad-rank", "rank must be a positive integer")
     basis = record.get("basis", "canonical")
-    if basis not in {"canonical", "fundamental"}:
+    if basis not in ("canonical", "fundamental"):
         raise ValidationError("bad-basis", f"unknown basis {basis!r}")
     threads = record.get("threads")
+    if threads is not None and not _positive_int(threads):
+        raise ValidationError("bad-threads", "threads must be a positive integer")
     want_oracle = bool(record.get("oracle"))
 
     oracle_verdict: Optional[str] = None
     started = time.perf_counter()
 
     if command == "kostant":
-        a = _parse_vector(record["vector"])
+        a = _parse_vector(_field(record, "vector"))
         if len(a) != rank + 1:
             raise ValidationError("bad-length", f"rank {rank} takes {rank + 1} entries")
         value = kostant_partition(a)
@@ -120,7 +136,7 @@ def run_record(record: dict) -> dict:
             oracle_verdict = _oracle_verdict(lambda: kostant_partition_bruteforce(a), value)
     elif command == "convert":
         direction = record.get("to", "fundamental")
-        entries = _parse_vector(record["vector"])
+        entries = _parse_vector(_field(record, "vector"))
         if direction == "fundamental":
             if len(entries) != rank + 1:
                 raise ValidationError("bad-length", f"rank {rank} takes {rank + 1} entries")
@@ -133,28 +149,28 @@ def run_record(record: dict) -> dict:
             raise ValidationError("bad-basis", f"unknown target basis {direction!r}")
         out = ",".join(_format_fraction(x) for x in result)
     elif command == "mult":
-        lam = DominantWeight(_weight_arg(record["lambda"], rank, basis, "lambda"))
-        mu = _weight_arg(record["mu"], rank, basis, "mu")
+        lam = DominantWeight(_weight_arg(record, "lambda", rank, basis))
+        mu = _weight_arg(record, "mu", rank, basis)
         value = multiplicity(lam, mu, threads=threads)
         out = str(value)
         if want_oracle:
             oracle_verdict = _oracle_verdict(lambda: multiplicity_freudenthal(lam, mu), value)
     elif command == "tensor":
-        lam = DominantWeight(_weight_arg(record["lambda"], rank, basis, "lambda"))
-        mu = DominantWeight(_weight_arg(record["mu"], rank, basis, "mu"))
-        nu = DominantWeight(_weight_arg(record["nu"], rank, basis, "nu"))
+        lam = DominantWeight(_weight_arg(record, "lambda", rank, basis))
+        mu = DominantWeight(_weight_arg(record, "mu", rank, basis))
+        nu = DominantWeight(_weight_arg(record, "nu", rank, basis))
         value = tensor_product(lam, mu, nu, threads=threads)
         out = str(value)
         if want_oracle:
             oracle_verdict = _oracle_verdict(lambda: tensor_bruteforce_lr(lam, mu, nu), value)
     elif command == "poly-mult":
-        lam = DominantWeight(_weight_arg(record["lambda"], rank, basis, "lambda"))
-        mu = _weight_arg(record["mu"], rank, basis, "mu")
+        lam = DominantWeight(_weight_arg(record, "lambda", rank, basis))
+        mu = _weight_arg(record, "mu", rank, basis)
         out = _render_ray(multiplicity_polynomial(lam, mu, threads=threads))
     else:  # poly-tensor
-        lam = DominantWeight(_weight_arg(record["lambda"], rank, basis, "lambda"))
-        mu = DominantWeight(_weight_arg(record["mu"], rank, basis, "mu"))
-        nu = DominantWeight(_weight_arg(record["nu"], rank, basis, "nu"))
+        lam = DominantWeight(_weight_arg(record, "lambda", rank, basis))
+        mu = DominantWeight(_weight_arg(record, "mu", rank, basis))
+        nu = DominantWeight(_weight_arg(record, "nu", rank, basis))
         out = _render_ray(tensor_polynomial(lam, mu, nu, threads=threads))
 
     elapsed_ms = (time.perf_counter() - started) * 1000.0
@@ -220,7 +236,7 @@ def _batch(args: argparse.Namespace) -> int:
             continue
         try:
             record = json.loads(line)
-        except json.JSONDecodeError as exc:
+        except (json.JSONDecodeError, RecursionError) as exc:  # deep nesting recurses
             print(json.dumps({"error": "malformed-json", "message": str(exc)}))
             worst = max(worst, EXIT_INVALID)
             continue

@@ -10,20 +10,19 @@ e_i - e_j (i < j) equals an alternating sum of iterated residues at z = 0 of
 
 taken over a pruned set of variable orders (the "special" permutations of
 the regularised vector), each weighted by a sign.  Residues are extracted
-one variable at a time; every expansion is truncated at the pole order of
-the active variable, so the cost never depends on the sizes of the entries
-of a.
+one variable at a time, and each step needs only the coefficients below the
+pole order of the active variable, so the cost never depends on the sizes of
+the entries of a.
 """
 
 from __future__ import annotations
 
-from fractions import Fraction
 from functools import lru_cache
 from math import comb
-from typing import Callable, List, Sequence, Tuple
+from operator import add
+from typing import Callable, Dict, List, Sequence, Tuple
 
 from .permutations import Permutation
-from .series import TruncatedLaurentSeries
 from .vectors import (
     ValidationError,
     as_vector,
@@ -72,64 +71,46 @@ def special_permutations(a: Sequence) -> List[Permutation]:
     return [Permutation(prefix) for prefix, _, _ in frontier]
 
 
-def _expansion(exponents: Sequence[int], active: Sequence[int], t: int,
-               pole_order: int) -> TruncatedLaurentSeries:
-    """Taylor data of the factors involving the active variable z_t.
+@lru_cache(maxsize=None)
+def _compositions(total: int, parts: int) -> Tuple[Tuple[int, ...], ...]:
+    """Every tuple of `parts` non-negative integers summing to `total`."""
+    if parts == 1:
+        return ((total,),)
+    return tuple((m,) + rest for m in range(total + 1)
+                 for rest in _compositions(total - m, parts - 1))
 
-    Expands (1+z_t)^{e_t} together with every denominator factor coupling
-    z_t to another still-active variable, truncated at z_t-degree
-    pole_order - 1.  The coupling factors contribute negative powers of the
-    other variables: 1/(z_i - z_t) = sum_m z_t^m z_i^{-m-1}, with a sign
-    flip when the pair is ordered the other way round.
+
+def _residue_step(state: Dict[Tuple[int, ...], int], active: List[int],
+                  exponents: Sequence[int], t: int) -> Dict[Tuple[int, ...], int]:
+    """Residue at z_t = 0 of state times the integrand factors involving z_t.
+
+    `state` maps exponent tuples over the active variables to coefficients.
+    The factors are (1+z_t)^{e_t} and, for every other active z_i,
+    1/(z_i - z_t) = sum_m z_t^m z_i^{-1-m}, negated when i > t.  A state term
+    with z_t^{-p} pairs with the z_t^{p-1} coefficient of their product: the
+    sum over compositions m_0 + sum m_i = p - 1 of C(e_t, m_0) prod z_i^{-1-m_i}.
+    Every exponent in a state is at most -1, so p >= 1 and the work depends
+    on the pole orders only, never on the size of e_t.
     """
-    n = len(active)
     tpos = active.index(t)
-    top = pole_order - 1
-    window = tuple((0, top) if k == tpos else (-pole_order, 0) for k in range(n))
-
+    others = len(active) - 1
+    sign = -1 if (others - tpos) % 2 else 1  # active is sorted: others - tpos lie above t
     e_t = exponents[t - 1]
-    terms = {}
-    for m in range(pole_order):
-        c = binomial(e_t, m)
-        if c:
-            exps = [0] * n
-            exps[tpos] = m
-            terms[tuple(exps)] = c
-    series = TruncatedLaurentSeries(n, terms, window)
-
-    for pos, var in enumerate(active):
-        if var == t:
-            continue
-        sign = 1 if var < t else -1
-        factor_terms = {}
-        for m in range(pole_order):
-            exps = [0] * n
-            exps[tpos] = m
-            exps[pos] = -1 - m
-            factor_terms[tuple(exps)] = sign
-        factor = TruncatedLaurentSeries(n, factor_terms, window)
-        series = series.mul(factor, window=window)
-    return series
-
-
-def _residue_step(state: TruncatedLaurentSeries, active: List[int],
-                  exponents: Sequence[int], t: int) -> TruncatedLaurentSeries | None:
-    """Take the residue of state * (implicit factors of z_t) at z_t = 0."""
-    tpos = active.index(t)
-    pole = 0
-    for exps in state.terms:
-        if -exps[tpos] > pole:
-            pole = -exps[tpos]
-    if pole <= 0:
-        return None
-    g = _expansion(exponents, active, t, pole)
-    result = state.residue_against(g, tpos)
-    return None if result.is_zero() else result
-
-
-def _initial_state(r: int) -> TruncatedLaurentSeries:
-    # The explicit 1/(z_1 ... z_r) factor; everything else enters on demand.
-    return TruncatedLaurentSeries(r, {(-1,) * r: 1}, ((None, -1),) * r)
+    by_pole: dict = {}
+    for exps, c in state.items():
+        by_pole.setdefault(-exps[tpos], []).append((exps[:tpos] + exps[tpos + 1:], c))
+    out: dict = {}
+    for p, terms in by_pole.items():
+        shifts = []
+        for m in _compositions(p - 1, others + 1):
+            c = binomial(e_t, m[0])
+            if c:
+                shifts.append((tuple(-1 - k for k in m[1:]), sign * c))
+        for base, c1 in terms:
+            for shift, c2 in shifts:
+                e = tuple(map(add, base, shift))
+                out[e] = out.get(e, 0) + c1 * c2
+    return {e: c for e, c in out.items() if c}
 
 
 def _residue_sum(exponents: Sequence[int], weighted: Sequence[Tuple[Permutation, int]]):
@@ -146,7 +127,7 @@ def _residue_sum(exponents: Sequence[int], weighted: Sequence[Tuple[Permutation,
     def descend(state, active, group, depth):
         nonlocal total
         if depth == r:
-            value = state.scalar()
+            value = state.get((), 0)
             if value:
                 total += value * sum(sign for _, sign in group)
             return
@@ -155,11 +136,12 @@ def _residue_sum(exponents: Sequence[int], weighted: Sequence[Tuple[Permutation,
             by_var.setdefault(seq[depth], []).append((seq, sign))
         for t in sorted(by_var):
             nxt = _residue_step(state, active, exponents, t)
-            if nxt is None:
+            if not nxt:
                 continue
             descend(nxt, [v for v in active if v != t], by_var[t], depth + 1)
 
-    descend(_initial_state(r), list(range(1, r + 1)), items, 0)
+    # The explicit 1/(z_1 ... z_r) factor; everything else enters step by step.
+    descend({(-1,) * r: 1}, list(range(1, r + 1)), items, 0)
     return total
 
 

@@ -180,6 +180,29 @@ class TestBatch:
         assert row["oracle"] is None
         assert code == EXIT_OK
 
+    @pytest.mark.parametrize("bad, code", [
+        (json.dumps([1]), "bad-record"),
+        (json.dumps({"command": "mult", "rank": 2}), "missing-field"),
+        (json.dumps({"command": "kostant", "rank": 2, "vector": "1,0,-1", "threads": 0}),
+         "bad-threads"),
+        (json.dumps({"command": "kostant", "rank": 2, "vector": "1,0,-1", "threads": "x"}),
+         "bad-threads"),
+        (json.dumps({"command": "kostant", "rank": True, "vector": "1,-1"}), "bad-rank"),
+        (json.dumps({"command": ["mult"], "rank": 2}), "unknown-command"),
+        ("[" * 100000 + "]" * 100000, "malformed-json"),
+    ], ids=["not-object", "missing-key", "zero-threads", "string-threads", "bool-rank",
+            "list-command", "deep-nesting"])
+    def test_bad_record_does_not_end_stream(self, capsys, monkeypatch, bad, code):
+        import io
+
+        good = json.dumps({"command": "kostant", "rank": 2, "vector": "1,0,-1"})
+        monkeypatch.setattr("sys.stdin", io.StringIO(bad + "\n" + good))
+        exit_code, out, _ = run_cli(capsys, "batch")
+        rows = [json.loads(line) for line in out.strip().splitlines()]
+        assert rows[0]["error"] == code
+        assert rows[1]["value"] == "2"
+        assert exit_code == EXIT_INVALID
+
 
 class TestRunRecord:
     def test_unknown_command(self):
