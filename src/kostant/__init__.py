@@ -20,6 +20,7 @@ from .residues import (
     iterated_residue,
     iterated_residue_by_substitution,
     kostant_partition,
+    partition_counts,
     partition_total,
     special_permutations,
 )
@@ -55,6 +56,7 @@ __all__ = [
     "kostant_partition",
     "multiplicity",
     "multiplicity_polynomial",
+    "partition_counts",
     "partition_total",
     "positive_roots",
     "rho",

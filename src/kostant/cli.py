@@ -11,7 +11,8 @@ Commands
 
 Vectors are comma-separated exact rationals (integers or p/q; floats are
 rejected).  Exit codes: 0 success, 2 invalid input, 3 oracle disagreement,
-4 resource exhaustion.
+4 resource exhaustion, 5 an internal error in some batch record (the record
+gets an "internal-error" line and the stream goes on).
 """
 
 from __future__ import annotations
@@ -50,6 +51,7 @@ EXIT_OK = 0
 EXIT_INVALID = 2
 EXIT_ORACLE_MISMATCH = 3
 EXIT_RESOURCE = 4
+EXIT_INTERNAL = 5
 
 _RATIONAL = re.compile(r"^[+-]?\d+(/[1-9]\d*)?$")
 
@@ -121,7 +123,9 @@ def run_record(record: dict) -> dict:
     threads = record.get("threads")
     if threads is not None and not _positive_int(threads):
         raise ValidationError("bad-threads", "threads must be a positive integer")
-    want_oracle = bool(record.get("oracle"))
+    want_oracle = record.get("oracle", False)
+    if not isinstance(want_oracle, bool):
+        raise ValidationError("bad-oracle", "oracle must be true or false")
 
     oracle_verdict: Optional[str] = None
     started = time.perf_counter()
@@ -243,12 +247,16 @@ def _batch(args: argparse.Namespace) -> int:
         try:
             result = run_record(record)
         except ValidationError as exc:
-            print(json.dumps({"error": exc.code, "message": str(exc)}))
-            worst = max(worst, EXIT_INVALID)
-            continue
+            result, code = {"error": exc.code, "message": str(exc)}, EXIT_INVALID
+        except (MemoryError, RecursionError) as exc:
+            result, code = {"error": "resource-exhausted", "message": str(exc)}, EXIT_RESOURCE
+        except Exception as exc:  # a fault inside the library must not end the stream
+            message = f"{type(exc).__name__}: {exc}"
+            result, code = {"error": "internal-error", "message": message}, EXIT_INTERNAL
+        else:
+            code = EXIT_ORACLE_MISMATCH if result.get("oracle") == "disagree" else EXIT_OK
         print(json.dumps(result))
-        if result.get("oracle") == "disagree":
-            worst = max(worst, EXIT_ORACLE_MISMATCH)
+        worst = max(worst, code)
     return worst
 
 
@@ -256,7 +264,8 @@ def _add_common(p: argparse.ArgumentParser, oracle: bool = True) -> None:
     p.add_argument("--rank", type=int, required=True, help="rank r of A_r")
     p.add_argument("--timing", action="store_true", help="print wall-clock time")
     p.add_argument("--threads", type=int, default=None,
-                   help="cap on parallel term evaluation (results identical at any count)")
+                   help="evaluate the terms of a sum on a pool of N processes "
+                        "(default: in-process; results identical at any count)")
     if oracle:
         p.add_argument("--oracle", action="store_true",
                        help="cross-check against the brute-force reference when inside its box")

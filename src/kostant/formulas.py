@@ -23,7 +23,7 @@ from typing import List, Optional, Sequence, Tuple, Union
 from .parallel import map_counts
 from .permsearch import valid_couples, valid_permutations
 from .permutations import Permutation
-from .residues import kostant_partition
+from .residues import partition_counts
 from .vectors import (
     DominantWeight,
     ValidationError,
@@ -90,7 +90,7 @@ def multiplicity(lam, mu: Sequence, *, threads: Optional[int] = None) -> int:
         (w.signature, int_vector(vec_sub(w.apply(u), v)))
         for w in valid_permutations(u, v)
     ]
-    values = map_counts(kostant_partition, [arg for _, arg in terms], threads)
+    values = map_counts(partition_counts, [arg for _, arg in terms], threads)
     total = sum(sign * value for (sign, _), value in zip(terms, values))
     if total < 0:
         raise AssertionError("alternating multiplicity sum came out negative")
@@ -122,7 +122,7 @@ def tensor_product(lam, mu, nu, *, threads: Optional[int] = None, _sign=None) ->
         )
         for w1, w2 in valid_couples(u1, u2, target)
     ]
-    values = map_counts(kostant_partition, [arg for _, arg in terms], threads)
+    values = map_counts(partition_counts, [arg for _, arg in terms], threads)
     total = sum(sign * value for (sign, _), value in zip(terms, values))
     if _sign is None and total < 0:
         raise AssertionError("alternating tensor sum came out negative")

@@ -1,13 +1,14 @@
-"""Deterministic evaluation of independent partition-count terms.
+"""Deterministic evaluation of a batch of independent partition-count terms.
 
-Results are combined by exact integer addition in input order, so the total
-is bit-identical at any worker count; the pool is only engaged when there is
-enough work to amortise it.
+`map_counts` applies a batch function: a list in, a list of the same length
+out.  It runs in-process unless the caller asks for more than one worker and
+there is enough work to amortise forking; then contiguous chunks go to a
+fork pool and the results are joined in input order, so the values are
+bit-identical at any worker count.
 """
 
 from __future__ import annotations
 
-import os
 from typing import Callable, List, Sequence
 
 _MIN_PARALLEL_ITEMS = 24
@@ -15,23 +16,25 @@ _MIN_PARALLEL_ITEMS = 24
 
 def effective_workers(threads: int | None) -> int:
     if threads is None:
-        return os.cpu_count() or 1
+        return 1
     if threads < 1:
         raise ValueError("thread count must be >= 1")
     return threads
 
 
 def map_counts(fn: Callable, items: Sequence, threads: int | None = None) -> List:
-    """Map fn over items, in order, optionally on a process pool."""
-    workers = effective_workers(threads)
+    """fn(items), or fn over contiguous chunks of items on a fork pool."""
+    items = list(items)
+    workers = min(effective_workers(threads), len(items))
     if workers <= 1 or len(items) < _MIN_PARALLEL_ITEMS:
-        return [fn(x) for x in items]
+        return fn(items)
     try:
         import multiprocessing
 
         ctx = multiprocessing.get_context("fork")
     except (ImportError, ValueError):
-        return [fn(x) for x in items]
-    chunk = max(1, len(items) // (4 * workers))
-    with ctx.Pool(min(workers, len(items))) as pool:
-        return pool.map(fn, items, chunksize=chunk)
+        return fn(items)
+    size = -(-len(items) // workers)
+    chunks = [items[i:i + size] for i in range(0, len(items), size)]
+    with ctx.Pool(len(chunks)) as pool:
+        return [value for part in pool.map(fn, chunks, chunksize=1) for value in part]

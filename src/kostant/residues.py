@@ -12,26 +12,22 @@ taken over a pruned set of variable orders (the "special" permutations of
 the regularised vector), each weighted by a sign.  Residues are extracted
 one variable at a time, and each step needs only the coefficients below the
 pole order of the active variable, so the cost never depends on the sizes of
-the entries of a.
+the entries of a.  Only the exponents differ between vectors of one rank, so
+a batch of them is walked together: one residue step per distinct order
+prefix, with a row of integer coefficients per exponent tuple.
 """
 
 from __future__ import annotations
 
+from collections import OrderedDict, namedtuple
 from functools import lru_cache
-from math import comb
-from operator import add
+from itertools import accumulate
+from math import comb, lcm
+from operator import add, mul
 from typing import Callable, Dict, List, Sequence, Tuple
 
 from .permutations import Permutation
-from .vectors import (
-    ValidationError,
-    as_vector,
-    deform,
-    in_positive_cone,
-    int_vector,
-    is_regular,
-    rank_of,
-)
+from .vectors import ValidationError, as_vector, int_vector
 
 
 def binomial(e: int, m: int) -> int:
@@ -47,17 +43,19 @@ def binomial(e: int, m: int) -> int:
     return (-comb(m - e - 1, m)) if (m % 2) else comb(m - e - 1, m)
 
 
-def special_permutations(a: Sequence) -> List[Permutation]:
-    """The variable orders that carry the residue formula for the vector a.
+def _special_orders(entries: Sequence[int]) -> List[Tuple[int, ...]]:
+    """Images of the special orders of an integer vector (a_{r+1} is not read).
 
     A permutation w of {1, ..., r} qualifies when, for each i < r, the sign
     of the partial sum a_{w(1)} + ... + a_{w(i)} dictates the step: w(i) <
     w(i+1) if the sum is >= 0 and w(i) > w(i+1) otherwise.  Built by prefix
     extension with pruning; the full factorial set is never materialised.
+
+    For integral a these are also the orders of deform(a), regular or not:
+    the deformation adds i/(2r) to a partial sum of i < r entries, which
+    keeps a non-negative integer sum non-negative and a negative one negative.
     """
-    a = as_vector(a)
-    r = rank_of(a)
-    entries = a[:r]
+    r = len(entries) - 1
     frontier = [((i,), 1 << i, entries[i - 1]) for i in range(1, r + 1)]
     for _ in range(r - 1):
         extended = []
@@ -68,81 +66,104 @@ def special_permutations(a: Sequence) -> List[Permutation]:
                 if not (mask >> j) & 1:
                     extended.append((prefix + (j,), mask | (1 << j), s + entries[j - 1]))
         frontier = extended
-    return [Permutation(prefix) for prefix, _, _ in frontier]
+    return [prefix for prefix, _, _ in frontier]
+
+
+def special_permutations(a: Sequence) -> List[Permutation]:
+    """The variable orders that carry the residue formula for the vector a.
+
+    Rational entries are scaled to integers by a positive common denominator,
+    which leaves the sign of every partial sum, and so the orders, unchanged.
+    """
+    a = as_vector(a)
+    scale = lcm(*(x.denominator for x in a))
+    return [Permutation(images) for images in _special_orders([int(x * scale) for x in a])]
 
 
 @lru_cache(maxsize=None)
-def _compositions(total: int, parts: int) -> Tuple[Tuple[int, ...], ...]:
-    """Every tuple of `parts` non-negative integers summing to `total`."""
-    if parts == 1:
-        return ((total,),)
-    return tuple((m,) + rest for m in range(total + 1)
-                 for rest in _compositions(total - m, parts - 1))
+def _shifts(total: int, others: int) -> Tuple[Tuple[int, Tuple[int, ...]], ...]:
+    """(m_0, (-1-m_1, ..., -1-m_others)) for every m_0 + m_1 + ... + m_others = total."""
+    if others == 0:
+        return ((total, ()),)
+    return tuple((m0, (-1 - m,) + rest) for m in range(total + 1)
+                 for m0, rest in _shifts(total - m, others - 1))
 
 
-def _residue_step(state: Dict[Tuple[int, ...], int], active: List[int],
-                  exponents: Sequence[int], t: int) -> Dict[Tuple[int, ...], int]:
+def _residue_step(state: Dict[Tuple[int, ...], List[int]], active: List[int],
+                  e_t: Sequence[int], t: int) -> Dict[Tuple[int, ...], List[int]]:
     """Residue at z_t = 0 of state times the integrand factors involving z_t.
 
-    `state` maps exponent tuples over the active variables to coefficients.
-    The factors are (1+z_t)^{e_t} and, for every other active z_i,
-    1/(z_i - z_t) = sum_m z_t^m z_i^{-1-m}, negated when i > t.  A state term
-    with z_t^{-p} pairs with the z_t^{p-1} coefficient of their product: the
-    sum over compositions m_0 + sum m_i = p - 1 of C(e_t, m_0) prod z_i^{-1-m_i}.
-    Every exponent in a state is at most -1, so p >= 1 and the work depends
-    on the pole orders only, never on the size of e_t.
+    `state` maps exponent tuples over the active variables to rows of
+    coefficients, one per batch column; column j has the factor
+    (1+z_t)^{e_t[j]}, and every other active z_i brings the shared
+    1/(z_i - z_t) = sum_m z_t^m z_i^{-1-m}, negated when i > t.  A term with
+    z_t^{-p} pairs with the z_t^{p-1} coefficient of their product: the sum
+    over m_0 + sum m_i = p - 1 of C(e_t, m_0) prod z_i^{-1-m_i}.  Every state
+    exponent is at most -1, so p >= 1 and the work never depends on e_t.
     """
     tpos = active.index(t)
     others = len(active) - 1
     sign = -1 if (others - tpos) % 2 else 1  # active is sorted: others - tpos lie above t
-    e_t = exponents[t - 1]
     by_pole: dict = {}
-    for exps, c in state.items():
-        by_pole.setdefault(-exps[tpos], []).append((exps[:tpos] + exps[tpos + 1:], c))
+    for exps, row in state.items():
+        by_pole.setdefault(-exps[tpos], []).append((exps[:tpos] + exps[tpos + 1:], row))
+    binomials = [[sign * binomial(e, m) for e in e_t] for m in range(max(by_pole))]
+    nonzero = [any(b) for b in binomials]
     out: dict = {}
     for p, terms in by_pole.items():
-        shifts = []
-        for m in _compositions(p - 1, others + 1):
-            c = binomial(e_t, m[0])
-            if c:
-                shifts.append((tuple(-1 - k for k in m[1:]), sign * c))
-        for base, c1 in terms:
-            for shift, c2 in shifts:
+        shifts = [(shift, binomials[m0]) for m0, shift in _shifts(p - 1, others) if nonzero[m0]]
+        for base, row in terms:
+            for shift, coeffs in shifts:
                 e = tuple(map(add, base, shift))
-                out[e] = out.get(e, 0) + c1 * c2
-    return {e: c for e, c in out.items() if c}
+                term = list(map(mul, row, coeffs))
+                acc = out.get(e)
+                out[e] = term if acc is None else list(map(add, acc, term))
+    return {e: row for e, row in out.items() if any(row)}
 
 
-def _residue_sum(exponents: Sequence[int], weighted: Sequence[Tuple[Permutation, int]]):
-    """Sum of sign * IRes^w over (w, sign) pairs, sharing inner residue steps.
+def _residue_sum(exponents: Sequence[Sequence[int]],
+                 weighted: Sequence[Sequence[Tuple[Tuple[int, ...], int]]]) -> List[int]:
+    """For each column j, the sum of sign * IRes^w over (w.images, sign) in weighted[j].
 
-    The residue for w processes z_{w(r)} first and z_{w(1)} last, so orders
-    sharing a prefix of w share their innermost steps; the recursion below
-    walks that tree once.
+    Every column is the same rank-r integrand with its own exponents[j].  The
+    residue for w processes z_{w(r)} first and z_{w(1)} last, so orders that
+    share a prefix of reversed w share their innermost steps, across columns
+    as well; the recursion below walks the union prefix tree of every order
+    of every column once.  A node's state rows hold only the columns whose
+    orders pass through it.
     """
-    r = len(exponents)
-    total = 0
-    items = [(tuple(reversed(w.images)), sign) for w, sign in weighted]
+    r = len(exponents[0])
+    totals = [0] * len(exponents)
+    items = [(tuple(reversed(images)), j, sign)
+             for j, orders in enumerate(weighted) for images, sign in orders]
 
-    def descend(state, active, group, depth):
-        nonlocal total
+    def descend(state, active, cols, group, depth):
+        # Row position i of the state is column cols[i]; items index rows.
         if depth == r:
-            value = state.get((), 0)
-            if value:
-                total += value * sum(sign for _, sign in group)
+            row = state.get(())
+            if row:
+                for _, i, sign in group:
+                    totals[cols[i]] += sign * row[i]
             return
         by_var: dict = {}
-        for seq, sign in group:
-            by_var.setdefault(seq[depth], []).append((seq, sign))
+        for item in group:
+            by_var.setdefault(item[0][depth], []).append(item)
         for t in sorted(by_var):
-            nxt = _residue_step(state, active, exponents, t)
-            if not nxt:
-                continue
-            descend(nxt, [v for v in active if v != t], by_var[t], depth + 1)
+            sub, sub_state, sub_cols = by_var[t], state, cols
+            keep = sorted({i for _, i, _ in sub})
+            if len(keep) < len(cols):
+                where = {i: k for k, i in enumerate(keep)}
+                sub = [(seq, where[i], sign) for seq, i, sign in sub]
+                sub_cols = [cols[i] for i in keep]
+                sub_state = {e: [row[i] for i in keep] for e, row in state.items()}
+            nxt = _residue_step(sub_state, active, [exponents[j][t - 1] for j in sub_cols], t)
+            if nxt:
+                descend(nxt, [v for v in active if v != t], sub_cols, sub, depth + 1)
 
     # The explicit 1/(z_1 ... z_r) factor; everything else enters step by step.
-    descend({(-1,) * r: 1}, list(range(1, r + 1)), items, 0)
-    return total
+    columns = list(range(len(exponents)))
+    descend({(-1,) * r: [1] * len(columns)}, list(range(1, r + 1)), columns, items, 0)
+    return totals
 
 
 def iterated_residue(w: Permutation, exponents: Sequence[int]):
@@ -153,7 +174,7 @@ def iterated_residue(w: Permutation, exponents: Sequence[int]):
     """
     if len(w) != len(exponents):
         raise ValueError("permutation size must match the number of variables")
-    return _residue_sum([int(e) for e in exponents], [(w, 1)])
+    return _residue_sum([[int(e) for e in exponents]], [[(w.images, 1)]])[0]
 
 
 def iterated_residue_by_substitution(w: Permutation, exponents: Sequence[int]):
@@ -167,8 +188,7 @@ def iterated_residue_by_substitution(w: Permutation, exponents: Sequence[int]):
     if len(w) != len(exponents):
         raise ValueError("permutation size must match the number of variables")
     permuted = w.apply([int(e) for e in exponents])
-    identity = Permutation.identity(len(w))
-    return w.signature * _residue_sum(permuted, [(identity, 1)])
+    return w.signature * _residue_sum([permuted], [[(tuple(range(1, len(w) + 1)), 1)]])[0]
 
 
 def descent_sign(w: Permutation) -> int:
@@ -186,6 +206,11 @@ def inversion_sign(w: Permutation) -> int:
 TERM_SIGN: Callable[[Permutation], int] = descent_sign
 
 
+def _exponents(a: Sequence[int]) -> List[int]:
+    r = len(a) - 1
+    return [int(a[k]) + r - 1 - k for k in range(r)]
+
+
 def partition_total(a: Sequence, regularised: Sequence,
                     term_sign: Callable[[Permutation], int] = None):
     """The alternating residue sum for a, with orders drawn from `regularised`.
@@ -196,22 +221,62 @@ def partition_total(a: Sequence, regularised: Sequence,
     selects the set of residue orders and must be regular for the
     descent/ascent tests to be unambiguous.
     """
-    a = as_vector(a)
-    r = rank_of(a)
     sign = term_sign or TERM_SIGN
-    orders = special_permutations(as_vector(regularised))
-    exponents = [int(a[k]) + r - 1 - k for k in range(r)]
-    weighted = [(w, sign(w)) for w in orders]
-    return _residue_sum(exponents, weighted)
+    orders = special_permutations(regularised)
+    return _residue_sum([_exponents(as_vector(a))], [[(w.images, sign(w)) for w in orders]])[0]
 
 
-@lru_cache(maxsize=1 << 15)
-def _partition_of(a: Tuple[int, ...]) -> int:
-    if not in_positive_cone(a):
-        return 0
-    av = as_vector(a)
-    regularised = av if is_regular(av) else deform(av)
-    return partition_total(av, regularised)
+CacheInfo = namedtuple("CacheInfo", "hits misses maxsize currsize")
+
+
+class _Memo(OrderedDict):
+    """Bounded least-recently-used table of partition counts by integer vector,
+    with functools.lru_cache's statistics: one hit or miss per looked-up vector."""
+
+    def __init__(self, maxsize: int):
+        super().__init__()
+        self.maxsize = maxsize
+        self.hits = self.misses = 0
+
+    def cache_info(self) -> CacheInfo:
+        return CacheInfo(self.hits, self.misses, self.maxsize, len(self))
+
+    def cache_clear(self) -> None:
+        self.clear()
+        self.hits = self.misses = 0
+
+
+_partition_of = _Memo(1 << 15)
+
+
+def partition_counts(vectors: Sequence[Sequence[int]]) -> List[int]:
+    """Partition counts of integral zero-sum vectors, in input order.
+
+    Repeats and earlier results come from the memo; the rest are counted by
+    one batched residue walk per rank (zero outside the cone).
+    """
+    memo = _partition_of
+    keys = [tuple(map(int, a)) for a in vectors]
+    fresh = {}
+    for a in dict.fromkeys(keys):
+        if a in memo:
+            memo.move_to_end(a)
+        else:
+            fresh[a] = 0
+    by_rank: dict = {}
+    for a in fresh:
+        if sum(a) == 0 and min(accumulate(a)) >= 0:  # in the cone
+            by_rank.setdefault(len(a), []).append(a)
+    for batch in by_rank.values():
+        weighted = [[(w, TERM_SIGN(Permutation(w))) for w in _special_orders(a)] for a in batch]
+        fresh.update(zip(batch, _residue_sum([_exponents(a) for a in batch], weighted)))
+    memo.misses += len(fresh)
+    memo.hits += len(keys) - len(fresh)
+    out = [fresh[a] if a in fresh else memo[a] for a in keys]
+    memo.update(fresh)
+    while len(memo) > memo.maxsize:
+        memo.popitem(last=False)
+    return out
 
 
 def kostant_partition(a: Sequence) -> int:
@@ -221,4 +286,4 @@ def kostant_partition(a: Sequence) -> int:
         raise ValidationError("non-integral", "partition counts need an integral vector")
     if sum(a) != 0:
         raise ValidationError("not-zero-sum", "partition counts need a zero-sum vector")
-    return _partition_of(int_vector(a))
+    return partition_counts([int_vector(a)])[0]

@@ -5,9 +5,11 @@ import json
 import pytest
 
 from kostant.cli import (
+    EXIT_INTERNAL,
     EXIT_INVALID,
     EXIT_OK,
     EXIT_ORACLE_MISMATCH,
+    EXIT_RESOURCE,
     main,
     run_record,
 )
@@ -190,8 +192,10 @@ class TestBatch:
         (json.dumps({"command": "kostant", "rank": True, "vector": "1,-1"}), "bad-rank"),
         (json.dumps({"command": ["mult"], "rank": 2}), "unknown-command"),
         ("[" * 100000 + "]" * 100000, "malformed-json"),
+        (json.dumps({"command": "kostant", "rank": 2, "vector": "1,0,-1", "oracle": "false"}),
+         "bad-oracle"),
     ], ids=["not-object", "missing-key", "zero-threads", "string-threads", "bool-rank",
-            "list-command", "deep-nesting"])
+            "list-command", "deep-nesting", "string-oracle"])
     def test_bad_record_does_not_end_stream(self, capsys, monkeypatch, bad, code):
         import io
 
@@ -202,6 +206,34 @@ class TestBatch:
         assert rows[0]["error"] == code
         assert rows[1]["value"] == "2"
         assert exit_code == EXIT_INVALID
+
+    @pytest.mark.parametrize("exc, error, exit_expected", [
+        (AssertionError("alternating multiplicity sum came out negative"), "internal-error",
+         EXIT_INTERNAL),
+        (MemoryError("out of memory"), "resource-exhausted", EXIT_RESOURCE),
+    ], ids=["internal-error", "resource-exhausted"])
+    def test_failure_inside_a_record_does_not_end_stream(self, capsys, monkeypatch,
+                                                         exc, error, exit_expected):
+        import io
+
+        def broken(*args, **kwargs):
+            raise exc
+
+        monkeypatch.setattr("kostant.cli.multiplicity", broken)
+        lines = "\n".join(json.dumps(r) for r in [
+            {"command": "mult", "rank": 2, "lambda": "1,0,-1", "mu": "0,0,0"},
+            {"command": "kostant", "rank": 2, "vector": "1,0,-1"},
+            {"command": "kostant", "rank": 2, "vector": "x"},
+        ])
+        monkeypatch.setattr("sys.stdin", io.StringIO(lines))
+        exit_code, out, err = run_cli(capsys, "batch")
+        rows = [json.loads(line) for line in out.strip().splitlines()]
+        assert rows[0]["error"] == error
+        assert str(exc) in rows[0]["message"]
+        assert rows[1]["value"] == "2"
+        assert rows[2]["error"] == "malformed-rational"
+        assert exit_code == exit_expected
+        assert "Traceback" not in err
 
 
 class TestRunRecord:

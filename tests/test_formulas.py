@@ -81,6 +81,8 @@ class TestMultiplicity:
         lam = theta(3)
         zero = (0, 0, 0, 0)
         assert multiplicity(lam, zero) == multiplicity(lam, zero, threads=3)
+        # 66 terms: enough for the chunked pool to run partition_counts
+        assert multiplicity(theta(5), (0,) * 6, threads=2) == 1024
 
 
 class TestTensorProduct:

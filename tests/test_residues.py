@@ -2,22 +2,28 @@
 
 import itertools
 import random
+from fractions import Fraction
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from kostant import residues
+from kostant.formulas import multiplicity
 from kostant.permutations import Permutation
+from kostant.reference import kostant_partition_bruteforce
 from kostant.residues import (
+    _partition_of,
     binomial,
     descent_sign,
     inversion_sign,
     iterated_residue,
     iterated_residue_by_substitution,
     kostant_partition,
+    partition_counts,
     partition_total,
     special_permutations,
 )
-from kostant.vectors import ValidationError, deform, is_regular
+from kostant.vectors import ValidationError, deform, is_regular, theta
 
 
 class TestBinomial:
@@ -204,3 +210,97 @@ class TestKostantPartition:
             for _ in range(d + 1):
                 diffs = [b - a for a, b in zip(diffs, diffs[1:])]
             assert all(x == 0 for x in diffs), (direction, values)
+
+
+def _zero_sum_box(rank, bound):
+    """Zero-sum vectors whose first `rank` entries lie in [-bound, bound]."""
+    for head in itertools.product(range(-bound, bound + 1), repeat=rank):
+        yield head + (-sum(head),)
+
+
+class TestIntegerOrderSelection:
+    def test_integral_vectors_need_no_deformation(self):
+        # The engine selects the orders of a itself.  The deformation moves a
+        # partial sum of i < r entries by i/(2r), which never changes the sign
+        # test of an integer sum, so the orders agree on every integral
+        # vector, regular or not.
+        boxes = [(1, 4), (2, 4), (3, 4), (4, 4), (5, 2)]
+        regular = 0
+        for rank, bound in boxes:
+            for a in _zero_sum_box(rank, bound):
+                assert special_permutations(a) == special_permutations(deform(a)), a
+                regular += is_regular(a)
+        assert regular == 1630
+
+    def test_rational_input_is_scaled_not_rounded(self):
+        assert special_permutations((Fraction(1, 3), Fraction(-1, 2), Fraction(1, 6))) == \
+            special_permutations((2, -3, 1))
+        assert [w.images for w in special_permutations((Fraction(-1, 4), 1, Fraction(-3, 4)))] == []
+
+
+def _mixed_batch():
+    """Ranks 1-6, in and out of the cone, non-regular, repeated, entries to 10^9."""
+    rng = random.Random(31)
+    batch = [(0, 0, 0), (1, 0, -1, 0), (2, -1, -1, 0), (3, -3, 0, 2, -2)]
+    for _ in range(240):
+        r = rng.randint(1, 6)
+        size = rng.choice((2, 3, 10**9))
+        if rng.random() < 0.5:  # a sum of positive roots
+            a = [0] * (r + 1)
+            for _ in range(rng.randint(0, 6)):
+                i, j = sorted(rng.sample(range(r + 1), 2))
+                c = rng.randint(0, size)
+                a[i] += c
+                a[j] -= c
+        else:
+            head = [rng.randint(-size, size) for _ in range(r)]
+            a = head + [-sum(head)]
+        batch.append(tuple(a))
+    return batch + batch[::5]
+
+
+class TestPartitionCounts:
+    def test_batch_matches_single_calls_and_dp(self):
+        batch = _mixed_batch()
+        _partition_of.cache_clear()
+        got = partition_counts(batch)
+        singles = []
+        for a in batch:
+            _partition_of.cache_clear()
+            singles.append(kostant_partition(a))
+        assert got == singles
+        assert {len(a) - 1 for a in batch} == {1, 2, 3, 4, 5, 6}
+        assert 0 < sum(1 for v in got if v) < len(batch)
+        assert any(v > 10**9 for v in got)
+        assert any(not is_regular(a) for a, v in zip(batch, got) if v)
+        checked = 0
+        for a, value in zip(batch, got):
+            if max(map(abs, a)) <= 3 and len(a) <= 6:
+                assert value == kostant_partition_bruteforce(a), a
+                checked += 1
+        assert checked >= 50
+
+    def test_memo_counts_hits_and_misses_per_vector(self):
+        _partition_of.cache_clear()
+        a, b = (2, 0, -2), (1, 1, -2)
+        assert partition_counts([a, b, a]) == [3, 2, 3]
+        info = _partition_of.cache_info()
+        assert (info.hits, info.misses, info.currsize) == (1, 2, 2)
+        assert kostant_partition(b) == 2
+        assert _partition_of.cache_info().hits == 2
+        assert partition_counts([]) == []
+
+    @pytest.mark.parametrize("r, steps", [(4, 6), (5, 15), (6, 39)])
+    def test_theta_takes_one_step_per_distinct_order_prefix(self, monkeypatch, r, steps):
+        # Walking each term on its own takes 72, 438 and 3582 steps.
+        calls = []
+        step = residues._residue_step
+
+        def counted(*args):
+            calls.append(args[-1])
+            return step(*args)
+
+        monkeypatch.setattr(residues, "_residue_step", counted)
+        _partition_of.cache_clear()
+        assert multiplicity(theta(r), (0,) * (r + 1)) == 2 ** (r * (r - 1) // 2)
+        assert len(calls) == steps
