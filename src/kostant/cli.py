@@ -10,7 +10,12 @@ Commands
     batch       JSON-lines records on stdin, one JSON result per line
 
 Vectors are comma-separated exact rationals (integers or p/q; floats are
-rejected).  Exit codes: 0 success, 2 invalid input, 3 oracle disagreement,
+rejected).  Polynomial commands print the coefficients in ascending degree,
+e.g. "1,3,3,1".  A ray that meets the root lattice only at the multiples of
+a step s > 1 gets ";step=s" appended ("1,7/4,9/8,3/8;step=2"): the
+polynomial gives the values at N = s, 2s, ... and every other N has value 0.
+A ray whose counts fit no polynomial prints "fit-failed[<reason>]:<values>".
+Exit codes: 0 success, 2 invalid input, 3 oracle disagreement,
 4 resource exhaustion, 5 an internal error in some batch record (the record
 gets an "internal-error" line and the stream goes on).
 """
@@ -196,7 +201,8 @@ def _render_ray(fit) -> str:
     if isinstance(fit, RayFitFailure):
         values = ",".join(str(v) for v in fit.values)
         return f"fit-failed[{fit.reason}]:{values}"
-    return ",".join(_format_fraction(c) for c in fit.coefficients)
+    text = ",".join(_format_fraction(c) for c in fit.coefficients)
+    return text if fit.step == 1 else f"{text};step={fit.step}"
 
 
 def _emit(result: dict, timing: bool) -> None:

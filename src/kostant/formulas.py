@@ -9,9 +9,18 @@ over valid couples, with argument w1(lambda+rho) + w2(mu+rho) - (nu+2rho).
 "Valid" means the partition argument lands in the positive-root cone, which
 the pruned searches in permsearch guarantee by construction.
 
-Along the ray N -> (N*lambda, N*mu) the counts agree with a polynomial of
-degree at most r(r-1)/2; the polynomial is recovered by exact interpolation
-on the first d+1 sample points and verified on two more.
+Every w fixes the multiples of (1, ..., 1), so translating the weights by
+such multiples (balanced on both sides) and rho by (r/2)(1, ..., 1) leaves
+every partition argument as it is.  Each weight is therefore taken to an
+integer representative once, at the API edge: its last entry is subtracted
+and rho' = (r, r-1, ..., 0) added.  The searches and the arguments are then
+built on ints.
+
+Along the ray N -> (N*lambda, N*mu) the weights meet the root lattice at the
+multiples of a step s (the denominator of the last entry of lambda - mu, or
+of lambda + mu - nu), and there the counts agree with a polynomial of degree
+at most r(r-1)/2; the polynomial is recovered by exact interpolation on
+N = s, 2s, ..., (d+1)s and verified at (d+2)s and (d+3)s.
 """
 
 from __future__ import annotations
@@ -24,19 +33,7 @@ from .parallel import map_counts
 from .permsearch import valid_couples, valid_permutations
 from .permutations import Permutation
 from .residues import partition_counts
-from .vectors import (
-    DominantWeight,
-    ValidationError,
-    as_vector,
-    int_vector,
-    is_integral,
-    rho,
-    to_fundamental,
-    vec_add,
-    vec_scale,
-    vec_sub,
-    zero_mean,
-)
+from .vectors import DominantWeight, ValidationError, as_vector, is_integral, to_fundamental
 
 
 def _as_dominant(lam) -> DominantWeight:
@@ -52,6 +49,12 @@ def _check_weight(mu: Sequence, rank: int, name: str) -> Tuple[Fraction, ...]:
             "non-integral-weight", f"{name} needs integer consecutive differences"
         )
     return mu
+
+
+def _lift(weight: Sequence[Fraction], shift: Fraction, rho_multiple: int) -> Tuple[int, ...]:
+    """weight - shift*(1, ..., 1) + rho_multiple*(r, r-1, ..., 0), as ints."""
+    r = len(weight) - 1
+    return tuple(int(x - shift) + rho_multiple * (r - i) for i, x in enumerate(weight))
 
 
 def _signature_product(w1: Permutation, w2: Permutation) -> int:
@@ -79,15 +82,16 @@ def multiplicity(lam, mu: Sequence, *, threads: Optional[int] = None) -> int:
     mu = _check_weight(mu, lam.rank, "mu")
     if sum(lam.canonical) != sum(mu):
         raise ValidationError("unequal-sums", "lambda and mu must have equal entry sums")
-    if not is_integral(vec_sub(lam.canonical, mu)):
+    # lam and mu have integer consecutive differences, so lam - mu is
+    # integral exactly when its last entry is, and then both weights
+    # translated by lam's last entry are integral.
+    shift = lam.canonical[-1]
+    if (shift - mu[-1]).denominator != 1:
         return 0
-    # Translating both weights by the same multiple of (1, ..., 1) leaves
-    # every partition argument unchanged; zero-mean is the canonical choice.
-    rho_v = rho(lam.rank)
-    u = vec_add(zero_mean(lam.canonical), rho_v)
-    v = vec_add(zero_mean(mu), rho_v)
+    u = _lift(lam.canonical, shift, 1)
+    v = _lift(mu, shift, 1)
     terms = [
-        (w.signature, int_vector(vec_sub(w.apply(u), v)))
+        (w.signature, tuple(u[i - 1] - b for i, b in zip(w.images, v)))
         for w in valid_permutations(u, v)
     ]
     values = map_counts(partition_counts, [arg for _, arg in terms], threads)
@@ -106,19 +110,17 @@ def tensor_product(lam, mu, nu, *, threads: Optional[int] = None, _sign=None) ->
         raise ValidationError("bad-length", "weights must share one rank")
     if sum(lam.canonical) + sum(mu.canonical) != sum(nu.canonical):
         raise ValidationError("unequal-sums", "sum(lambda) + sum(mu) must equal sum(nu)")
-    if not is_integral(
-        vec_sub(vec_add(lam.canonical, mu.canonical), nu.canonical)
-    ):
+    shift1, shift2 = lam.canonical[-1], mu.canonical[-1]
+    if (shift1 + shift2 - nu.canonical[-1]).denominator != 1:
         return 0
     sign_rule = _sign or COUPLE_SIGN
-    rho_v = rho(lam.rank)
-    u1 = vec_add(zero_mean(lam.canonical), rho_v)
-    u2 = vec_add(zero_mean(mu.canonical), rho_v)
-    target = vec_add(zero_mean(nu.canonical), vec_scale(rho_v, 2))
+    u1 = _lift(lam.canonical, shift1, 1)
+    u2 = _lift(mu.canonical, shift2, 1)
+    target = _lift(nu.canonical, shift1 + shift2, 2)
     terms = [
         (
             sign_rule(w1, w2),
-            int_vector(vec_sub(vec_add(w1.apply(u1), w2.apply(u2)), target)),
+            tuple(u1[i - 1] + u2[j - 1] - t for i, j, t in zip(w1.images, w2.images, target)),
         )
         for w1, w2 in valid_couples(u1, u2, target)
     ]
@@ -134,12 +136,15 @@ class RayPolynomial:
     """Exact polynomial agreeing with a dilation ray of counts.
 
     coefficients[k] multiplies N^k; sample_points were interpolated and
-    verified_points checked against freshly computed counts.
+    verified_points checked against freshly computed counts.  The ray meets
+    the root lattice only at multiples of step, so the polynomial gives the
+    counts there; every other N has count 0.
     """
 
     coefficients: Tuple[Fraction, ...]
     sample_points: Tuple[int, ...]
     verified_points: Tuple[int, ...]
+    step: int = 1
 
     @property
     def degree(self) -> int:
@@ -189,15 +194,15 @@ def _interpolate(xs: Sequence[int], ys: Sequence[int]) -> Tuple[Fraction, ...]:
     return tuple(coeffs)
 
 
-def _ray_fit(counter, degree: int) -> Union[RayPolynomial, RayFitFailure]:
-    xs = list(range(1, degree + 2))
+def _ray_fit(counter, degree: int, step: int) -> Union[RayPolynomial, RayFitFailure]:
+    xs = [step * k for k in range(1, degree + 2)]
     ys = [counter(n) for n in xs]
     coeffs = _interpolate(xs, ys)
     top = len(coeffs)
     while top > 1 and coeffs[top - 1] == 0:
         top -= 1
-    check_points = (degree + 2, degree + 3)
-    poly = RayPolynomial(coeffs[:top], tuple(xs), check_points)
+    check_points = (step * (degree + 2), step * (degree + 3))
+    poly = RayPolynomial(coeffs[:top], tuple(xs), check_points, step)
     check_values = [counter(n) for n in check_points]
     if any(poly.evaluate(n) != v for n, v in zip(check_points, check_values)):
         return RayFitFailure(_CHAMBER_CROSSING, tuple(xs + list(check_points)),
@@ -208,9 +213,12 @@ def _ray_fit(counter, degree: int) -> Union[RayPolynomial, RayFitFailure]:
 def multiplicity_polynomial(lam, mu: Sequence, *, threads: Optional[int] = None):
     """Polynomial N -> multiplicity of N*mu in V(N*lam), degree <= r(r-1)/2.
 
-    Interpolates exactly on N = 1..d+1 and verifies at d+2 and d+3; if the
-    verification fails the raw values are returned in a RayFitFailure
-    instead of a polynomial.
+    N*(lam - mu) lies in the root lattice only at the multiples of a step s,
+    the denominator of lam_{r+1} - mu_{r+1} (that is (r+1)/gcd(r+1, c) for
+    the class c = sum_i i*f_i mod r+1 of the fundamental coordinates f of
+    lam - mu).  Interpolates exactly on N = s, 2s, ..., (d+1)s and verifies at
+    (d+2)s and (d+3)s; if the verification fails the raw values are returned
+    in a RayFitFailure instead of a polynomial.
     """
     lam = _as_dominant(lam)
     mu = _check_weight(mu, lam.rank, "mu")
@@ -220,9 +228,9 @@ def multiplicity_polynomial(lam, mu: Sequence, *, threads: Optional[int] = None)
     degree = r * (r - 1) // 2
 
     def counter(n: int) -> int:
-        return multiplicity(lam.scaled(n), vec_scale(mu, n), threads=threads)
+        return multiplicity(lam.scaled(n), tuple(n * x for x in mu), threads=threads)
 
-    return _ray_fit(counter, degree)
+    return _ray_fit(counter, degree, (lam.canonical[-1] - mu[-1]).denominator)
 
 
 def tensor_polynomial(lam, mu, nu, *, threads: Optional[int] = None):
@@ -240,4 +248,5 @@ def tensor_polynomial(lam, mu, nu, *, threads: Optional[int] = None):
     def counter(n: int) -> int:
         return tensor_product(lam.scaled(n), mu.scaled(n), nu.scaled(n), threads=threads)
 
-    return _ray_fit(counter, degree)
+    step = (lam.canonical[-1] + mu.canonical[-1] - nu.canonical[-1]).denominator
+    return _ray_fit(counter, degree, step)

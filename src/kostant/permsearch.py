@@ -4,25 +4,31 @@ A permutation w contributes to the Kostant multiplicity sum for (u, v) when
 w(u) - v lies in the positive-root cone, i.e. when every partial sum
 u_{w(1)} + ... + u_{w(k)} dominates v_1 + ... + v_k.  Couples (w1, w2) for
 the tensor sum satisfy the same inequalities for w1(u1) + w2(u2) against v.
-Both searches extend prefixes position by position, carrying the partial
-sums, against precomputed cumulative sums of v; candidates are visited in
-decreasing order of their contribution so a failed bound cuts the rest of
-the loop.  Prefixes that can no longer satisfy the current inequality are
-never extended, so the factorial set is never materialised.
+Rational input is scaled once by the lcm of its denominators, which keeps
+every comparison, so the partial sums are ints.  Both searches extend
+prefixes position by position, carrying the partial sums, against the
+cumulative sums of v; candidates are visited in decreasing order of their
+contribution so a failed bound cuts the rest of the loop.  Prefixes that can
+no longer satisfy the current inequality are never extended, so the
+factorial set is never materialised.
 """
 
 from __future__ import annotations
 
-from fractions import Fraction
 from itertools import accumulate
+from math import lcm
+from operator import itemgetter
 from typing import List, Sequence, Tuple
 
 from .permutations import Permutation
 from .vectors import ValidationError, as_vector
 
 
-def _cumulative(v: Sequence[Fraction]) -> List[Fraction]:
-    return list(accumulate(v))
+def _integral(*vectors: Sequence) -> List[List[int]]:
+    """The vectors as ints, all multiplied by the lcm of their denominators."""
+    vectors = [as_vector(v) for v in vectors]
+    scale = lcm(*(x.denominator for v in vectors for x in v))
+    return [[x.numerator * (scale // x.denominator) for x in v] for v in vectors]
 
 
 def valid_permutations(u: Sequence, v: Sequence) -> List[Permutation]:
@@ -32,33 +38,29 @@ def valid_permutations(u: Sequence, v: Sequence) -> List[Permutation]:
     strictly decreasing the returned permutations give pairwise distinct
     rearrangements, so no deduplication is performed.
     """
-    u = as_vector(u)
-    v = as_vector(v)
+    u, v = _integral(u, v)
     n = len(u)
     if len(v) != n:
         raise ValidationError("bad-length", "u and v must have the same length")
     if sum(u) != sum(v):
         raise ValidationError("unequal-sums", "u and v must have equal entry sums")
 
-    bounds = _cumulative(v)
-    # Candidates in decreasing u-order: once a candidate fails the running
-    # inequality every later one fails too.
-    order = sorted(range(1, n + 1), key=lambda i: u[i - 1], reverse=True)
-
-    frontier: List[Tuple[Tuple[int, ...], int, Fraction]] = [((), 0, Fraction(0))]
-    for k in range(n):
-        bound = bounds[k]
+    # Candidates (i, u_i) in decreasing u-order: once a candidate fails the
+    # running inequality every later one fails too.
+    order = sorted(enumerate(u, 1), key=itemgetter(1), reverse=True)
+    frontier: List[Tuple[Tuple[int, ...], int, int]] = [((), 0, 0)]
+    for bound in accumulate(v):
         extended = []
         for prefix, mask, s in frontier:
-            for i in order:
+            for i, x in order:
                 if (mask >> i) & 1:
                     continue
-                s_next = s + u[i - 1]
+                s_next = s + x
                 if s_next < bound:
                     break
                 extended.append((prefix + (i,), mask | (1 << i), s_next))
         frontier = extended
-    return sorted((Permutation(p) for p, _, _ in frontier), key=lambda w: w.images)
+    return [Permutation(p) for p in sorted(p for p, _, _ in frontier)]
 
 
 def valid_couples(u1: Sequence, u2: Sequence, v: Sequence) -> List[Tuple[Permutation, Permutation]]:
@@ -69,39 +71,33 @@ def valid_couples(u1: Sequence, u2: Sequence, v: Sequence) -> List[Tuple[Permuta
     screened against the best completion by the second, which prunes without
     losing couples.
     """
-    u1 = as_vector(u1)
-    u2 = as_vector(u2)
-    v = as_vector(v)
+    u1, u2, v = _integral(u1, u2, v)
     n = len(v)
     if len(u1) != n or len(u2) != n:
         raise ValidationError("bad-length", "u1, u2 and v must have the same length")
     if sum(u1) + sum(u2) != sum(v):
         raise ValidationError("unequal-sums", "sum(u1) + sum(u2) must equal sum(v)")
 
-    bounds = _cumulative(v)
-    order1 = sorted(range(1, n + 1), key=lambda i: u1[i - 1], reverse=True)
-    order2 = sorted(range(1, n + 1), key=lambda j: u2[j - 1], reverse=True)
-
-    State = Tuple[Tuple[int, ...], Tuple[int, ...], int, int, Fraction]
-    frontier: List[State] = [((), (), 0, 0, Fraction(0))]
-    for k in range(n):
-        bound = bounds[k]
+    order1 = sorted(enumerate(u1, 1), key=itemgetter(1), reverse=True)
+    order2 = sorted(enumerate(u2, 1), key=itemgetter(1), reverse=True)
+    frontier: List[Tuple[Tuple[int, ...], Tuple[int, ...], int, int, int]] = [((), (), 0, 0, 0)]
+    for bound in accumulate(v):
         extended = []
         for p1, p2, m1, m2, s in frontier:
-            best2 = next(u2[j - 1] for j in order2 if not (m2 >> j) & 1)
-            for i in order1:
+            best2 = next(y for j, y in order2 if not (m2 >> j) & 1)
+            for i, x in order1:
                 if (m1 >> i) & 1:
                     continue
-                s1 = s + u1[i - 1]
+                s1 = s + x
                 if s1 + best2 < bound:
                     break
-                for j in order2:
+                for j, y in order2:
                     if (m2 >> j) & 1:
                         continue
-                    s2 = s1 + u2[j - 1]
+                    s2 = s1 + y
                     if s2 < bound:
                         break
                     extended.append((p1 + (i,), p2 + (j,), m1 | (1 << i), m2 | (1 << j), s2))
         frontier = extended
-    couples = [(Permutation(p1), Permutation(p2)) for p1, p2, _, _, _ in frontier]
-    return sorted(couples, key=lambda pair: (pair[0].images, pair[1].images))
+    pairs = sorted((p1, p2) for p1, p2, _, _, _ in frontier)
+    return [(Permutation(p1), Permutation(p2)) for p1, p2 in pairs]

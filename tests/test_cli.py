@@ -182,6 +182,21 @@ class TestBatch:
         assert row["oracle"] is None
         assert code == EXIT_OK
 
+    def test_stepped_ray_rendering(self, capsys, monkeypatch):
+        import io
+
+        lines = "\n".join(json.dumps(r) for r in [
+            {"command": "poly-tensor", "rank": 3, "basis": "fundamental",
+             "lambda": "1,1,1", "mu": "1,1,1", "nu": "1,1,1"},
+            {"command": "poly-mult", "rank": 2, "lambda": "1,0,0", "mu": "1/3,1/3,1/3"},
+            {"command": "poly-mult", "rank": 2, "lambda": "1,0,-1", "mu": "0,0,0"},
+        ])
+        monkeypatch.setattr("sys.stdin", io.StringIO(lines))
+        code, out, _ = run_cli(capsys, "batch")
+        rows = [json.loads(line) for line in out.strip().splitlines()]
+        assert [row["value"] for row in rows] == ["1,7/4,9/8,3/8;step=2", "1;step=3", "1,1"]
+        assert code == EXIT_OK
+
     @pytest.mark.parametrize("bad, code", [
         (json.dumps([1]), "bad-record"),
         (json.dumps({"command": "mult", "rank": 2}), "missing-field"),

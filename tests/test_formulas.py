@@ -6,10 +6,13 @@ import random
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
+import kostant.formulas
 from kostant.formulas import (
     RayFitFailure,
     RayPolynomial,
+    _ray_fit,
     multiplicity,
     multiplicity_polynomial,
     tensor_polynomial,
@@ -215,15 +218,44 @@ class TestMultiplicityPolynomial:
         for n in fit.sample_points:
             assert fit.evaluate(n) == multiplicity(lam.scaled(n), (0, 0, 0))
 
-    def test_lattice_class_crossing_reports_failure(self):
-        # N*(fc (1,0)) meets the root lattice only when 3 divides N, so the
-        # counts 0,0,1,0,... fit no polynomial and the fit must say so
+    def test_lattice_class_ray_fits_with_step(self):
+        # N*(fc (1,0)) meets the root lattice only when 3 divides N (the
+        # counts run 0,0,1,0,0,1,...), so the fit samples the multiples of 3
         lam = DominantWeight(from_fundamental((1, 0)))
         fit = multiplicity_polynomial(lam, (0, 0, 0))
+        assert isinstance(fit, RayPolynomial)
+        assert fit.step == 3
+        assert fit.coefficients == (Fraction(1),)
+        assert fit.sample_points == (3, 6)
+        assert fit.verified_points == (9, 12)
+        assert [multiplicity(lam.scaled(n), (0, 0, 0)) for n in range(1, 7)] == [0, 0, 1, 0, 0, 1]
+
+    def test_translated_lattice_class_ray_has_step_three(self):
+        # lam = omega_1 and mu = (1/3, 1/3, 1/3): the zero weight of Sym^N
+        fit = multiplicity_polynomial(DominantWeight((1, 0, 0)), (Fraction(1, 3),) * 3)
+        assert isinstance(fit, RayPolynomial)
+        assert fit.step == 3
+        assert fit.coefficients == (Fraction(1),)
+
+    def test_step_is_order_of_the_root_lattice_class(self):
+        # s = (r+1)/gcd(r+1, c) for c = sum_i i*f_i mod r+1 of lam - mu
+        for lam_fc, mu_fc in (((1, 0), (0, 0)), ((0, 1), (1, 0)), ((2, 1), (0, 0)),
+                              ((1, 0, 0), (0, 0, 0)), ((0, 1, 0), (0, 0, 0)),
+                              ((1, 1, 0), (0, 0, 0)), ((2, 0, 0), (0, 0, 0))):
+            r = len(lam_fc)
+            c = sum(i * (a - b) for i, (a, b) in enumerate(zip(lam_fc, mu_fc), start=1))
+            fit = multiplicity_polynomial(
+                DominantWeight(from_fundamental(lam_fc)), from_fundamental(mu_fc)
+            )
+            assert isinstance(fit, RayPolynomial), (lam_fc, mu_fc)
+            assert fit.step == (r + 1) // math.gcd(r + 1, c), (lam_fc, mu_fc)
+
+    def test_non_polynomial_counts_report_chamber_crossing(self):
+        fit = _ray_fit(lambda n: n ** 3, 1, 2)
         assert isinstance(fit, RayFitFailure)
         assert fit.reason == "ray crosses chamber structure inconsistently"
-        assert fit.sample_points == (1, 2, 3, 4)
-        assert fit.values == (0, 0, 1, 0)
+        assert fit.sample_points == (2, 4, 6, 8)
+        assert fit.values == (8, 64, 216, 512)
 
 
 class TestTensorPolynomial:
@@ -242,9 +274,72 @@ class TestTensorPolynomial:
         fit = tensor_polynomial(lam, mu, nu)
         assert fit.coefficients == (Fraction(1),)
 
+    def test_even_lattice_class_ray_has_step_two(self):
+        # lam + mu - nu is in the root lattice only for even N: the counts
+        # run 0, 12, 0, 50, 0, 133
+        w = DominantWeight(from_fundamental((1, 1, 1)))
+        fit = tensor_polynomial(w, w, w)
+        assert isinstance(fit, RayPolynomial)
+        assert fit.step == 2
+        assert fit.sample_points == (2, 4, 6, 8)
+        assert fit.verified_points == (10, 12)
+        assert fit.coefficients == (1, Fraction(7, 4), Fraction(9, 8), Fraction(3, 8))
+        for n in (2, 4):
+            scaled = w.scaled(n)
+            assert fit.evaluate(n) == tensor_bruteforce_lr(scaled, scaled, scaled)
+        for n in (6, 8):
+            scaled = w.scaled(n)
+            assert fit.evaluate(n) == tensor_product(scaled, scaled, scaled)
+        assert tensor_product(w.scaled(3), w.scaled(3), w.scaled(3)) == 0
+
     def test_polynomial_values_match_lr_on_ray(self):
         adj = DominantWeight((1, 0, -1))
         fit = tensor_polynomial(adj, adj, adj)
         for n in (1, 2, 3, 4):
             scaled = adj.scaled(n)
             assert fit.evaluate(n) == tensor_bruteforce_lr(scaled, scaled, scaled)
+
+
+fundamental_coords = st.lists(st.integers(0, 3), min_size=1, max_size=3)
+shifts = st.fractions(min_value=-3, max_value=3, max_denominator=6)
+
+
+def _translated(v, c):
+    return tuple(x + c for x in v)
+
+
+class TestIntegerRepresentatives:
+    @settings(max_examples=60, deadline=None)
+    @given(fundamental_coords, st.data(), shifts)
+    def test_multiplicity_translation_invariant(self, lam_fc, data, c):
+        r = len(lam_fc)
+        lam = DominantWeight(from_fundamental(lam_fc))
+        mu = from_fundamental(data.draw(st.lists(st.integers(-3, 3), min_size=r, max_size=r)))
+        assert multiplicity(DominantWeight(_translated(lam.canonical, c)), _translated(mu, c)) == (
+            multiplicity(lam, mu)
+        )
+
+    @settings(max_examples=40, deadline=None)
+    @given(fundamental_coords, st.data(), shifts, shifts)
+    def test_tensor_translation_invariant(self, lam_fc, data, c1, c2):
+        r = len(lam_fc)
+        coords = st.lists(st.integers(0, 3), min_size=r, max_size=r)
+        lam, mu, nu = (from_fundamental(fc) for fc in (lam_fc, data.draw(coords), data.draw(coords)))
+        moved = [DominantWeight(_translated(w, c)) for w, c in ((lam, c1), (mu, c2), (nu, c1 + c2))]
+        assert tensor_product(*moved) == tensor_product(*map(DominantWeight, (lam, mu, nu)))
+
+    def test_partition_arguments_are_ints(self, monkeypatch):
+        seen = []
+
+        def recording(fn, items, threads=None):
+            seen.extend(items)
+            return fn(items)
+
+        monkeypatch.setattr(kostant.formulas, "map_counts", recording)
+        third = Fraction(1, 3)
+        assert multiplicity(theta(3), (0, 0, 0, 0)) == 8
+        assert multiplicity(DominantWeight((1 + third, third, third)), (third, 1 + third, third)) == 1
+        adj = DominantWeight((Fraction(3, 2), Fraction(1, 2), Fraction(-1, 2)))
+        assert tensor_product(adj, adj, DominantWeight((2, 1, 0))) == 2
+        assert seen
+        assert all(type(x) is int for arg in seen for x in arg)

@@ -160,3 +160,50 @@ class TestValidCouples:
             assert [
                 (a.images, b.images) for a, b in got
             ] == [(a.images, b.images) for a, b in expected], (u1, u2, v)
+
+
+class TestRationalInputIsScaled:
+    """Rational input gives the lists of its integer multiple by the lcm of
+    the denominators, on a box of ranks 1-4."""
+
+    @staticmethod
+    def _cases(rng, count, rank, parts):
+        for _ in range(count):
+            den = rng.choice((2, 3, 4, 6))
+            vectors = [[rng.randint(-6, 6) for _ in range(rank + 1)] for _ in range(parts)]
+            vectors[-1][-1] += sum(map(sum, vectors[:-1])) - sum(vectors[-1])
+            # the shifts keep the sums balanced and make the input genuinely rational
+            c = Fraction(rng.randint(-5, 5), rng.choice((2, 3, 5)))
+            shifts = [c] * (parts - 1) + [(parts - 1) * c]
+            rational = [tuple(Fraction(x, den) + s for x in v) for v, s in zip(vectors, shifts)]
+            yield rational, [tuple(x * den * c.denominator for x in v) for v in rational]
+
+    @pytest.mark.parametrize("rank", [1, 2, 3, 4])
+    def test_permutations(self, rank):
+        rng = random.Random(100 + rank)
+        nonempty = 0
+        for rational, scaled in self._cases(rng, 150, rank, 2):
+            assert all(x.denominator == 1 for v in scaled for x in v)
+            got = valid_permutations(*rational)
+            assert [w.images for w in got] == [w.images for w in valid_permutations(*scaled)]
+            nonempty += bool(got)
+        assert nonempty > 20
+
+    @pytest.mark.parametrize("rank, count", [(1, 60), (2, 60), (3, 60), (4, 12)])
+    def test_couples(self, rank, count):
+        rng = random.Random(200 + rank)
+        nonempty = 0
+        for rational, scaled in self._cases(rng, count, rank, 3):
+            got = valid_couples(*rational)
+            assert [(a.images, b.images) for a, b in got] == [
+                (a.images, b.images) for a, b in valid_couples(*scaled)
+            ]
+            nonempty += bool(got)
+        assert nonempty >= count // 6
+
+    def test_rational_matches_brute_force(self):
+        u = (Fraction(7, 3), Fraction(1, 3), Fraction(-2, 3), Fraction(-2))
+        v = (Fraction(1, 3), Fraction(1, 3), Fraction(-2, 3), 0)
+        assert [w.images for w in valid_permutations(u, v)] == [
+            w.images for w in brute_permutations(u, v)
+        ]
