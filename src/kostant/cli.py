@@ -17,7 +17,8 @@ polynomial gives the values at N = s, 2s, ... and every other N has value 0.
 A ray whose counts fit no polynomial prints "fit-failed[<reason>]:<values>".
 Exit codes: 0 success, 2 invalid input, 3 oracle disagreement,
 4 resource exhaustion, 5 an internal error in some batch record (the record
-gets an "internal-error" line and the stream goes on).
+gets an "internal-error" line and the stream goes on).  Every batch error
+carries "line", the 1-based number of its stdin line, blank lines included.
 """
 
 from __future__ import annotations
@@ -102,10 +103,6 @@ def _weight_arg(record: dict, name: str, rank: int, basis: str) -> Tuple[Fractio
     return entries
 
 
-def _format_fraction(x: Fraction) -> str:
-    return str(x)
-
-
 def _positive_int(value) -> bool:
     # bool is a subclass of int, but true is not a rank
     return isinstance(value, int) and not isinstance(value, bool) and value >= 1
@@ -156,7 +153,7 @@ def run_record(record: dict) -> dict:
             result = from_fundamental(entries)
         else:
             raise ValidationError("bad-basis", f"unknown target basis {direction!r}")
-        out = ",".join(_format_fraction(x) for x in result)
+        out = ",".join(map(str, result))
     elif command == "mult":
         lam = DominantWeight(_weight_arg(record, "lambda", rank, basis))
         mu = _weight_arg(record, "mu", rank, basis)
@@ -201,7 +198,7 @@ def _render_ray(fit) -> str:
     if isinstance(fit, RayFitFailure):
         values = ",".join(str(v) for v in fit.values)
         return f"fit-failed[{fit.reason}]:{values}"
-    text = ",".join(_format_fraction(c) for c in fit.coefficients)
+    text = ",".join(map(str, fit.coefficients))
     return text if fit.step == 1 else f"{text};step={fit.step}"
 
 
@@ -240,14 +237,14 @@ def _single(args: argparse.Namespace, command: str) -> int:
 
 def _batch(args: argparse.Namespace) -> int:
     worst = EXIT_OK
-    for line in sys.stdin:
+    for number, line in enumerate(sys.stdin, 1):  # physical lines: blank ones count
         line = line.strip()
         if not line:
             continue
         try:
             record = json.loads(line)
         except (json.JSONDecodeError, RecursionError) as exc:  # deep nesting recurses
-            print(json.dumps({"error": "malformed-json", "message": str(exc)}))
+            print(json.dumps({"error": "malformed-json", "message": str(exc), "line": number}))
             worst = max(worst, EXIT_INVALID)
             continue
         try:
@@ -261,6 +258,8 @@ def _batch(args: argparse.Namespace) -> int:
             result, code = {"error": "internal-error", "message": message}, EXIT_INTERNAL
         else:
             code = EXIT_ORACLE_MISMATCH if result.get("oracle") == "disagree" else EXIT_OK
+        if "error" in result:
+            result["line"] = number
         print(json.dumps(result))
         worst = max(worst, code)
     return worst

@@ -14,7 +14,9 @@ one variable at a time, and each step needs only the coefficients below the
 pole order of the active variable, so the cost never depends on the sizes of
 the entries of a.  Only the exponents differ between vectors of one rank, so
 a batch of them is walked together: one residue step per distinct order
-prefix, with a row of integer coefficients per exponent tuple.
+prefix, with a row of integer coefficients per exponent tuple.  Each step is
+a plan, cached per process, of which exponent tuples arise and from which
+(row, m_0) pairs, and an apply that does only integer multiply-adds.
 """
 
 from __future__ import annotations
@@ -24,7 +26,7 @@ from functools import lru_cache
 from itertools import accumulate
 from math import comb, lcm
 from operator import add, mul
-from typing import Callable, Dict, List, Sequence, Tuple
+from typing import Callable, List, Sequence, Tuple
 
 from .permutations import Permutation
 from .vectors import ValidationError, as_vector, int_vector
@@ -80,7 +82,6 @@ def special_permutations(a: Sequence) -> List[Permutation]:
     return [Permutation(images) for images in _special_orders([int(x * scale) for x in a])]
 
 
-@lru_cache(maxsize=None)
 def _shifts(total: int, others: int) -> Tuple[Tuple[int, Tuple[int, ...]], ...]:
     """(m_0, (-1-m_1, ..., -1-m_others)) for every m_0 + m_1 + ... + m_others = total."""
     if others == 0:
@@ -89,36 +90,62 @@ def _shifts(total: int, others: int) -> Tuple[Tuple[int, Tuple[int, ...]], ...]:
                  for m0, rest in _shifts(total - m, others - 1))
 
 
-def _residue_step(state: Dict[Tuple[int, ...], List[int]], active: List[int],
-                  e_t: Sequence[int], t: int) -> Dict[Tuple[int, ...], List[int]]:
-    """Residue at z_t = 0 of state times the integrand factors involving z_t.
+# One object per distinct tuple held by any plan: (i, m_0) pairs, exponent tuples
+# and source lists recur across plans, and the rank bounds their number.
+_SHARED: dict = {}
 
-    `state` maps exponent tuples over the active variables to rows of
-    coefficients, one per batch column; column j has the factor
+
+@lru_cache(maxsize=4096)
+def _plan(keys: Tuple[Tuple[int, ...], ...], tpos: int):
+    """The shape of one residue step: which exponent tuples come out, and from what.
+
+    Returns (top, out_keys, sources): sources[k] lists the (i, m_0) whose
+    products rows[i] * C(e_t, m_0) add up to the coefficients of out_keys[k],
+    and every m_0 is below top.  Nothing here depends on the exponents e_t,
+    so one plan serves every query whose walk reaches the same state shape.
+    """
+    others, share, sources = len(keys[0]) - 1, _SHARED.setdefault, {}
+    for i, exps in enumerate(keys):
+        base = exps[:tpos] + exps[tpos + 1:]
+        for m0, shift in _shifts(-exps[tpos] - 1, others):
+            e = tuple(map(add, base, shift))
+            sources.setdefault(share(e, e), []).append(share((i, m0), (i, m0)))
+    return (-min(exps[tpos] for exps in keys), tuple(sources),
+            tuple(share(src, src) for src in map(tuple, sources.values())))
+
+
+def _binomial_rows(sign: int, e_t: Sequence[int], top: int) -> List[List[int]]:
+    """Row m < top is sign * C(e, m) per e in e_t: C(e, m-1) (e-m+1) / m, exact for any e."""
+    rows = [[sign] * len(e_t)]
+    for m in range(1, top):
+        rows.append([b * (e - m + 1) // m for b, e in zip(rows[-1], e_t)])
+    return rows
+
+
+def _residue_step(keys: Tuple[Tuple[int, ...], ...], rows: List[List[int]],
+                  active: List[int], e_t: Sequence[int], t: int) -> tuple:
+    """Residue at z_t = 0 of the state times the integrand factors involving z_t.
+
+    The state is rows[i] as the coefficients of the exponent tuple keys[i] over
+    the active variables, one per batch column; column j has the factor
     (1+z_t)^{e_t[j]}, and every other active z_i brings the shared
     1/(z_i - z_t) = sum_m z_t^m z_i^{-1-m}, negated when i > t.  A term with
     z_t^{-p} pairs with the z_t^{p-1} coefficient of their product: the sum
     over m_0 + sum m_i = p - 1 of C(e_t, m_0) prod z_i^{-1-m_i}.  Every state
     exponent is at most -1, so p >= 1 and the work never depends on e_t.
+    The cached `_plan` says which products feed which output; this call only
+    multiplies and adds them, and drops the rows that come out all zero.
     """
     tpos = active.index(t)
-    others = len(active) - 1
-    sign = -1 if (others - tpos) % 2 else 1  # active is sorted: others - tpos lie above t
-    by_pole: dict = {}
-    for exps, row in state.items():
-        by_pole.setdefault(-exps[tpos], []).append((exps[:tpos] + exps[tpos + 1:], row))
-    binomials = [[sign * binomial(e, m) for e in e_t] for m in range(max(by_pole))]
-    nonzero = [any(b) for b in binomials]
-    out: dict = {}
-    for p, terms in by_pole.items():
-        shifts = [(shift, binomials[m0]) for m0, shift in _shifts(p - 1, others) if nonzero[m0]]
-        for base, row in terms:
-            for shift, coeffs in shifts:
-                e = tuple(map(add, base, shift))
-                term = list(map(mul, row, coeffs))
-                acc = out.get(e)
-                out[e] = term if acc is None else list(map(add, acc, term))
-    return {e: row for e, row in out.items() if any(row)}
+    sign = -1 if (len(active) - 1 - tpos) % 2 else 1  # active is sorted: these lie above t
+    top, out_keys, sources = _plan(keys, tpos)
+    binomials = _binomial_rows(sign, e_t, top)
+    out = [list(map(sum, zip(*[map(mul, rows[i], binomials[m0]) for i, m0 in src])))
+           for src in sources]
+    live = [k for k, row in enumerate(out) if any(row)]
+    if len(live) == len(out):
+        return out_keys, out
+    return tuple(out_keys[k] for k in live), [out[k] for k in live]
 
 
 def _residue_sum(exponents: Sequence[Sequence[int]],
@@ -137,32 +164,30 @@ def _residue_sum(exponents: Sequence[Sequence[int]],
     items = [(tuple(reversed(images)), j, sign)
              for j, orders in enumerate(weighted) for images, sign in orders]
 
-    def descend(state, active, cols, group, depth):
+    def descend(keys, rows, active, cols, group, depth):
         # Row position i of the state is column cols[i]; items index rows.
-        if depth == r:
-            row = state.get(())
-            if row:
-                for _, i, sign in group:
-                    totals[cols[i]] += sign * row[i]
+        if depth == r:  # keys == ((),): every variable is gone
+            for _, i, sign in group:
+                totals[cols[i]] += sign * rows[0][i]
             return
         by_var: dict = {}
         for item in group:
             by_var.setdefault(item[0][depth], []).append(item)
         for t in sorted(by_var):
-            sub, sub_state, sub_cols = by_var[t], state, cols
+            sub, sub_rows, sub_cols = by_var[t], rows, cols
             keep = sorted({i for _, i, _ in sub})
             if len(keep) < len(cols):
                 where = {i: k for k, i in enumerate(keep)}
                 sub = [(seq, where[i], sign) for seq, i, sign in sub]
                 sub_cols = [cols[i] for i in keep]
-                sub_state = {e: [row[i] for i in keep] for e, row in state.items()}
-            nxt = _residue_step(sub_state, active, [exponents[j][t - 1] for j in sub_cols], t)
-            if nxt:
-                descend(nxt, [v for v in active if v != t], sub_cols, sub, depth + 1)
+                sub_rows = [[row[i] for i in keep] for row in rows]
+            nxt = _residue_step(keys, sub_rows, active, [exponents[j][t - 1] for j in sub_cols], t)
+            if nxt[0]:
+                descend(*nxt, [v for v in active if v != t], sub_cols, sub, depth + 1)
 
     # The explicit 1/(z_1 ... z_r) factor; everything else enters step by step.
     columns = list(range(len(exponents)))
-    descend({(-1,) * r: [1] * len(columns)}, list(range(1, r + 1)), columns, items, 0)
+    descend(((-1,) * r,), [[1] * len(columns)], list(range(1, r + 1)), columns, items, 0)
     return totals
 
 

@@ -5,13 +5,21 @@ couple sign of the tensor sum) are re-derived empirically before any suite
 that depends on them runs.  The record of that derivation is written to
 ``artifacts/sign_arbitration.json`` so a reviewer can inspect which
 candidate rules were tried and where the losers failed.
+
+HYPOTHESIS_PROFILE=ci selects fixed examples and no deadline, so a failure
+seen in CI reproduces locally with the same variable.
 """
 
+import os
 import pathlib
 
 import pytest
+from hypothesis import settings
 
 from kostant.arbitration import write_arbitration_record
+
+settings.register_profile("ci", derandomize=True, deadline=None)
+settings.load_profile(os.environ.get("HYPOTHESIS_PROFILE", "default"))
 
 ARTIFACT = pathlib.Path(__file__).resolve().parent.parent / "artifacts" / "sign_arbitration.json"
 

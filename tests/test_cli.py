@@ -3,6 +3,7 @@
 import json
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from kostant.cli import (
     EXIT_INTERNAL,
@@ -13,6 +14,7 @@ from kostant.cli import (
     main,
     run_record,
 )
+from kostant.vectors import ValidationError
 
 
 def run_cli(capsys, *argv):
@@ -222,6 +224,30 @@ class TestBatch:
         assert rows[1]["value"] == "2"
         assert exit_code == EXIT_INVALID
 
+    def test_error_lines_carry_the_stdin_line_number(self, capsys, monkeypatch):
+        import io
+
+        def broken(*args, **kwargs):
+            raise RuntimeError("boom")
+
+        monkeypatch.setattr("kostant.cli.tensor_product", broken)
+        lines = "\n".join([
+            json.dumps({"command": "kostant", "rank": 2, "vector": "1,0,-1"}),
+            "",
+            "{nope",
+            json.dumps({"command": "kostant", "rank": 2, "vector": "1,0,-2"}),
+            "   ",
+            json.dumps({"command": "tensor", "rank": 1, "lambda": "1,0", "mu": "1,0",
+                        "nu": "2,0"}),
+        ])
+        monkeypatch.setattr("sys.stdin", io.StringIO(lines))
+        exit_code, out, _ = run_cli(capsys, "batch")
+        rows = [json.loads(line) for line in out.strip().splitlines()]
+        assert rows[0] == {"value": "2", "time_ms": rows[0]["time_ms"]}
+        assert [(row["error"], row["line"]) for row in rows[1:]] == [
+            ("malformed-json", 3), ("not-zero-sum", 4), ("internal-error", 6)]
+        assert exit_code == EXIT_INTERNAL
+
     @pytest.mark.parametrize("exc, error, exit_expected", [
         (AssertionError("alternating multiplicity sum came out negative"), "internal-error",
          EXIT_INTERNAL),
@@ -244,6 +270,7 @@ class TestBatch:
         exit_code, out, err = run_cli(capsys, "batch")
         rows = [json.loads(line) for line in out.strip().splitlines()]
         assert rows[0]["error"] == error
+        assert rows[0]["line"] == 1
         assert str(exc) in rows[0]["message"]
         assert rows[1]["value"] == "2"
         assert rows[2]["error"] == "malformed-rational"
@@ -278,3 +305,64 @@ class TestRunRecord:
             "lambda": "1,1", "mu": "1,1", "nu": "1,1",
         })
         assert result["value"] == "1,1"
+
+
+json_values = st.recursive(
+    st.none() | st.booleans() | st.integers() | st.floats() | st.text(max_size=8),
+    lambda inner: st.lists(inner, max_size=4) | st.dictionaries(st.text(max_size=8), inner,
+                                                                max_size=4),
+    max_leaves=12,
+)
+COMMANDS = ["mult", "tensor", "kostant", "convert", "poly-mult", "poly-tensor"]
+
+
+@st.composite
+def near_valid_records(draw):
+    """A real command at rank 1-4 with short vectors of small ints, then up to two
+    keys changed: dropped, given a p/q entry or a wrong length, or an arbitrary value."""
+    rank = draw(st.integers(1, 4))
+    basis = draw(st.sampled_from(["canonical", "fundamental"]))
+    size = rank if basis == "fundamental" else rank + 1
+
+    def weight(dominant):
+        xs = draw(st.lists(st.integers(0 if dominant else -2, 2), min_size=size, max_size=size))
+        return sorted(xs, reverse=True) if dominant and basis == "canonical" else xs
+
+    head = draw(st.lists(st.integers(-3, 3), min_size=rank, max_size=rank))
+    record = {"command": draw(st.sampled_from(COMMANDS)), "rank": rank, "basis": basis,
+              "lambda": weight(True), "mu": weight(draw(st.booleans())), "nu": weight(True),
+              "vector": head + [-sum(head)], "to": "fundamental",
+              "oracle": draw(st.booleans()), "threads": draw(st.sampled_from([None, 1]))}
+    for _ in range(draw(st.integers(0, 2))):
+        key = draw(st.sampled_from(sorted(record)))
+        change = draw(st.integers(0, 3))
+        if change == 0:
+            del record[key]
+        elif change == 1 and isinstance(record[key], list):
+            p_q = draw(st.builds("{}/{}".format, st.integers(-6, 6), st.integers(1, 4)))
+            record[key] = ",".join(map(str, (record[key] + [p_q])[draw(st.integers(0, 1)):]))
+        else:
+            record[key] = draw(json_values)
+    return record
+
+
+def _answers_or_refuses(record):
+    try:
+        result = run_record(record)
+    except ValidationError:
+        return
+    assert isinstance(result, dict)
+    assert isinstance(result["value"], str)
+
+
+class TestRunRecordFuzz:
+    # threads >= 2 is never drawn: a fuzz example must not start a pool.
+    @settings(max_examples=150, deadline=None)
+    @given(json_values)
+    def test_arbitrary_json(self, record):
+        _answers_or_refuses(record)
+
+    @settings(max_examples=250, deadline=None)
+    @given(near_valid_records())
+    def test_near_valid_records(self, record):
+        _answers_or_refuses(record)

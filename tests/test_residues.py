@@ -3,6 +3,7 @@
 import itertools
 import random
 from fractions import Fraction
+from functools import lru_cache
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -12,7 +13,9 @@ from kostant.formulas import multiplicity
 from kostant.permutations import Permutation
 from kostant.reference import kostant_partition_bruteforce
 from kostant.residues import (
+    _binomial_rows,
     _partition_of,
+    _plan,
     binomial,
     descent_sign,
     inversion_sign,
@@ -304,3 +307,71 @@ class TestPartitionCounts:
         _partition_of.cache_clear()
         assert multiplicity(theta(r), (0,) * (r + 1)) == 2 ** (r * (r - 1) // 2)
         assert len(calls) == steps
+
+
+def _cheap_stream(seed, count):
+    """Sums of a few positive roots with entries up to 3, ranks 1-6."""
+    rng = random.Random(seed)
+    for _ in range(count):
+        r = rng.randint(1, 6)
+        a = [0] * (r + 1)
+        for _ in range(rng.randint(0, 4)):
+            i, j = sorted(rng.sample(range(r + 1), 2))
+            c = rng.randint(0, 3)
+            a[i] += c
+            a[j] -= c
+        yield tuple(a)
+
+
+class TestCompiledStep:
+    def test_recurrence_rows_are_exact_binomials(self):
+        # Covers the zero band 0 <= e < m, where C(e, m) = 0 for every later m.
+        exponents = list(range(-30, 31)) + [10**9, -10**9]
+        for sign in (1, -1):
+            rows = _binomial_rows(sign, exponents, 12)
+            assert len(rows) == 12
+            for m, row in enumerate(rows):
+                assert row == [sign * binomial(e, m) for e in exponents], (sign, m)
+
+    def test_values_do_not_depend_on_the_plan_cache(self):
+        batch = _mixed_batch()
+        _plan.cache_clear()
+        _partition_of.cache_clear()
+        cold = partition_counts(batch)
+        _partition_of.cache_clear()
+        warm = partition_counts(batch)
+        half = len(batch) // 2
+        _plan.cache_clear()
+        _partition_of.cache_clear()
+        split = partition_counts(batch[:half])
+        _plan.cache_clear()
+        split += partition_counts(batch[half:])
+        assert cold == warm == split
+        assert cold == [kostant_partition_bruteforce(a) if max(map(abs, a)) <= 3 else v
+                        for a, v in zip(batch, cold)]
+
+    def test_plan_cache_stays_bounded(self):
+        stream = list(_cheap_stream(5, 600))
+        assert {len(a) - 1 for a in stream} == {1, 2, 3, 4, 5, 6}
+        _plan.cache_clear()
+        _partition_of.cache_clear()
+        maxsize = _plan.cache_info().maxsize
+        assert maxsize is not None
+        for a in stream:
+            partition_counts([a])
+            assert _plan.cache_info().currsize <= maxsize
+
+    def test_eviction_keeps_values(self, monkeypatch):
+        # A cache of 8 plans evicts on almost every step of a rank-5 or 6 walk.
+        stream = list(_cheap_stream(6, 150))
+        _partition_of.cache_clear()
+        expected = partition_counts(stream)
+        tiny = lru_cache(maxsize=8)(_plan.__wrapped__)
+        monkeypatch.setattr(residues, "_plan", tiny)
+        _partition_of.cache_clear()
+        assert partition_counts(stream) == expected
+        assert tiny.cache_info().currsize <= 8
+        assert tiny.cache_info().misses > 100
+        small = [(a, v) for a, v in zip(stream, expected) if len(a) <= 5]
+        assert len(small) > 50
+        assert all(kostant_partition_bruteforce(a) == v for a, v in small)
