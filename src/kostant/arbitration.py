@@ -15,7 +15,7 @@ from __future__ import annotations
 import json
 from itertools import product
 from pathlib import Path
-from typing import Dict, Iterable, List, Tuple
+from typing import Dict, Iterable, List, Optional, Tuple
 
 from .formulas import _length_product_sign, _signature_product, tensor_product
 from .reference import kostant_partition_bruteforce, tensor_bruteforce_lr
@@ -36,39 +36,40 @@ def cone_box(rank: int, bound: int) -> Iterable[Tuple[int, ...]]:
             yield a
 
 
+def _arbitrate(candidates: Dict, cases: Iterable, compute, describe) -> Tuple[Dict, Optional[str]]:
+    """Run each candidate rule on (case, expected) pairs until its first wrong
+    value; returns the per-candidate record and the first survivor."""
+    results = {
+        name: {"passed": True, "checked": 0, "first_failure": None}
+        for name in candidates
+    }
+    for case, expected in cases:
+        for name, rule in candidates.items():
+            outcome = results[name]
+            if not outcome["passed"]:
+                continue
+            got = compute(case, rule)
+            outcome["checked"] += 1
+            if got != expected:
+                outcome["passed"] = False
+                outcome["first_failure"] = {**describe(case), "expected": expected, "got": got}
+    selected = next((name for name in candidates if results[name]["passed"]), None)
+    return results, selected
+
+
+def _regularised_total(a: Tuple[int, ...], sign) -> int:
+    av = as_vector(a)
+    return partition_total(av, av if is_regular(av) else deform(av), sign)
+
+
 def arbitrate_residue_sign(domains: Tuple[Tuple[int, int], ...] = RESIDUE_DOMAINS) -> Dict:
     """Check both residue sign candidates against the DP count, exhaustively."""
     candidates = {
         "descent-count": descent_sign,
         "inversion-count": inversion_sign,
     }
-    results = {
-        name: {"passed": True, "checked": 0, "first_failure": None}
-        for name in candidates
-    }
-    for rank, bound in domains:
-        for a in cone_box(rank, bound):
-            expected = kostant_partition_bruteforce(a)
-            av = as_vector(a)
-            regularised = av if is_regular(av) else deform(av)
-            for name, sign in candidates.items():
-                outcome = results[name]
-                if not outcome["passed"]:
-                    continue
-                got = partition_total(av, regularised, sign)
-                outcome["checked"] += 1
-                if got != expected:
-                    outcome["passed"] = False
-                    outcome["first_failure"] = {
-                        "a": list(a),
-                        "expected": expected,
-                        "got": got,
-                    }
-    selected = None
-    for name in ("descent-count", "inversion-count"):
-        if results[name]["passed"]:
-            selected = name
-            break
+    cases = ((a, kostant_partition_bruteforce(a)) for r, b in domains for a in cone_box(r, b))
+    results, selected = _arbitrate(candidates, cases, _regularised_total, lambda a: {"a": list(a)})
     return {
         "quantity": "per-order sign of the residue sum",
         "domains": [{"rank": r, "bound": b} for r, b in domains],
@@ -110,32 +111,15 @@ def arbitrate_couple_sign() -> Dict:
         "signature-product": _signature_product,
         "length-product-parity": _length_product_sign,
     }
-    results = {
-        name: {"passed": True, "checked": 0, "first_failure": None}
-        for name in candidates
-    }
-    for lam, mu, nu in _tensor_family():
-        expected = tensor_bruteforce_lr(lam, mu, nu)
-        for name, rule in candidates.items():
-            outcome = results[name]
-            if not outcome["passed"]:
-                continue
-            got = tensor_product(lam, mu, nu, _sign=rule)
-            outcome["checked"] += 1
-            if got != expected:
-                outcome["passed"] = False
-                outcome["first_failure"] = {
-                    "lambda": [str(x) for x in lam.canonical],
-                    "mu": [str(x) for x in mu.canonical],
-                    "nu": [str(x) for x in nu.canonical],
-                    "expected": expected,
-                    "got": got,
-                }
-    selected = None
-    for name in ("signature-product", "length-product-parity"):
-        if results[name]["passed"]:
-            selected = name
-            break
+    cases = ((triple, tensor_bruteforce_lr(*triple)) for triple in _tensor_family())
+    results, selected = _arbitrate(
+        candidates,
+        cases,
+        lambda triple, rule: tensor_product(*triple, _sign=rule),
+        lambda triple: {
+            key: [str(x) for x in w.canonical] for key, w in zip(("lambda", "mu", "nu"), triple)
+        },
+    )
     return {
         "quantity": "couple sign of the tensor sum",
         "candidates": results,

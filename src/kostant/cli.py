@@ -103,11 +103,6 @@ def _weight_arg(record: dict, name: str, rank: int, basis: str) -> Tuple[Fractio
     return entries
 
 
-def _positive_int(value) -> bool:
-    # bool is a subclass of int, but true is not a rank
-    return isinstance(value, int) and not isinstance(value, bool) and value >= 1
-
-
 def run_record(record: dict) -> dict:
     """Execute one query record; returns a result dict (see batch mode)."""
     if not isinstance(record, dict):
@@ -117,17 +112,17 @@ def run_record(record: dict) -> dict:
     if command not in ("mult", "tensor", "kostant", "convert", "poly-mult", "poly-tensor"):
         raise ValidationError("unknown-command", f"unknown command {command!r}")
     rank = record.get("rank")
-    if not _positive_int(rank):
+    # bool is a subclass of int, but true is not a rank
+    if not isinstance(rank, int) or isinstance(rank, bool) or rank < 1:
         raise ValidationError("bad-rank", "rank must be a positive integer")
     basis = record.get("basis", "canonical")
     if basis not in ("canonical", "fundamental"):
         raise ValidationError("bad-basis", f"unknown basis {basis!r}")
-    threads = record.get("threads")
-    if threads is not None and not _positive_int(threads):
-        raise ValidationError("bad-threads", "threads must be a positive integer")
     want_oracle = record.get("oracle", False)
     if not isinstance(want_oracle, bool):
         raise ValidationError("bad-oracle", "oracle must be true or false")
+    if want_oracle and command in ("convert", "poly-mult", "poly-tensor"):
+        raise ValidationError("bad-oracle", f"{command} has no oracle")
 
     oracle_verdict: Optional[str] = None
     started = time.perf_counter()
@@ -157,7 +152,7 @@ def run_record(record: dict) -> dict:
     elif command == "mult":
         lam = DominantWeight(_weight_arg(record, "lambda", rank, basis))
         mu = _weight_arg(record, "mu", rank, basis)
-        value = multiplicity(lam, mu, threads=threads)
+        value = multiplicity(lam, mu)
         out = str(value)
         if want_oracle:
             oracle_verdict = _oracle_verdict(lambda: multiplicity_freudenthal(lam, mu), value)
@@ -165,19 +160,19 @@ def run_record(record: dict) -> dict:
         lam = DominantWeight(_weight_arg(record, "lambda", rank, basis))
         mu = DominantWeight(_weight_arg(record, "mu", rank, basis))
         nu = DominantWeight(_weight_arg(record, "nu", rank, basis))
-        value = tensor_product(lam, mu, nu, threads=threads)
+        value = tensor_product(lam, mu, nu)
         out = str(value)
         if want_oracle:
             oracle_verdict = _oracle_verdict(lambda: tensor_bruteforce_lr(lam, mu, nu), value)
     elif command == "poly-mult":
         lam = DominantWeight(_weight_arg(record, "lambda", rank, basis))
         mu = _weight_arg(record, "mu", rank, basis)
-        out = _render_ray(multiplicity_polynomial(lam, mu, threads=threads))
+        out = _render_ray(multiplicity_polynomial(lam, mu))
     else:  # poly-tensor
         lam = DominantWeight(_weight_arg(record, "lambda", rank, basis))
         mu = DominantWeight(_weight_arg(record, "mu", rank, basis))
         nu = DominantWeight(_weight_arg(record, "nu", rank, basis))
-        out = _render_ray(tensor_polynomial(lam, mu, nu, threads=threads))
+        out = _render_ray(tensor_polynomial(lam, mu, nu))
 
     elapsed_ms = (time.perf_counter() - started) * 1000.0
     result = {"value": out, "time_ms": round(elapsed_ms, 3)}
@@ -218,7 +213,6 @@ def _single(args: argparse.Namespace, command: str) -> int:
         "rank": args.rank,
         "basis": getattr(args, "basis", "canonical"),
         "oracle": getattr(args, "oracle", False),
-        "threads": getattr(args, "threads", None),
     }
     for key in ("lam", "mu", "nu"):
         value = getattr(args, key, None)
@@ -268,9 +262,6 @@ def _batch(args: argparse.Namespace) -> int:
 def _add_common(p: argparse.ArgumentParser, oracle: bool = True) -> None:
     p.add_argument("--rank", type=int, required=True, help="rank r of A_r")
     p.add_argument("--timing", action="store_true", help="print wall-clock time")
-    p.add_argument("--threads", type=int, default=None,
-                   help="evaluate the terms of a sum on a pool of N processes "
-                        "(default: in-process; results identical at any count)")
     if oracle:
         p.add_argument("--oracle", action="store_true",
                        help="cross-check against the brute-force reference when inside its box")

@@ -7,7 +7,8 @@ The multiplicity of a weight mu in the irreducible V(lambda) is
 and the coefficient of V(nu) in V(lambda) (x) V(mu) is the same shape of sum
 over valid couples, with argument w1(lambda+rho) + w2(mu+rho) - (nu+2rho).
 "Valid" means the partition argument lands in the positive-root cone, which
-the pruned searches in permsearch guarantee by construction.
+the pruned searches in permsearch guarantee by construction.  The arguments
+of one sum are counted in-process by one batched call of partition_counts.
 
 Every w fixes the multiples of (1, ..., 1), so translating the weights by
 such multiples (balanced on both sides) and rho by (r/2)(1, ..., 1) leaves
@@ -27,7 +28,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import List, Optional, Sequence, Tuple, Union
+from typing import Sequence, Tuple, Union
 
 from .parallel import map_counts
 from .permsearch import valid_couples, valid_permutations
@@ -71,7 +72,7 @@ def _length_product_sign(w1: Permutation, w2: Permutation) -> int:
 COUPLE_SIGN = _signature_product
 
 
-def multiplicity(lam, mu: Sequence, *, threads: Optional[int] = None) -> int:
+def multiplicity(lam, mu: Sequence) -> int:
     """Multiplicity of the weight mu in the irreducible V(lam).
 
     lam must be dominant; mu needs integer consecutive differences and the
@@ -94,14 +95,14 @@ def multiplicity(lam, mu: Sequence, *, threads: Optional[int] = None) -> int:
         (w.signature, tuple(u[i - 1] - b for i, b in zip(w.images, v)))
         for w in valid_permutations(u, v)
     ]
-    values = map_counts(partition_counts, [arg for _, arg in terms], threads)
+    values = map_counts(partition_counts, [arg for _, arg in terms])
     total = sum(sign * value for (sign, _), value in zip(terms, values))
     if total < 0:
         raise AssertionError("alternating multiplicity sum came out negative")
     return total
 
 
-def tensor_product(lam, mu, nu, *, threads: Optional[int] = None, _sign=None) -> int:
+def tensor_product(lam, mu, nu, *, _sign=None) -> int:
     """Coefficient of V(nu) in V(lam) (x) V(mu); all three weights dominant."""
     lam = _as_dominant(lam)
     mu = _as_dominant(mu)
@@ -124,7 +125,7 @@ def tensor_product(lam, mu, nu, *, threads: Optional[int] = None, _sign=None) ->
         )
         for w1, w2 in valid_couples(u1, u2, target)
     ]
-    values = map_counts(partition_counts, [arg for _, arg in terms], threads)
+    values = map_counts(partition_counts, [arg for _, arg in terms])
     total = sum(sign * value for (sign, _), value in zip(terms, values))
     if _sign is None and total < 0:
         raise AssertionError("alternating tensor sum came out negative")
@@ -210,7 +211,7 @@ def _ray_fit(counter, degree: int, step: int) -> Union[RayPolynomial, RayFitFail
     return poly
 
 
-def multiplicity_polynomial(lam, mu: Sequence, *, threads: Optional[int] = None):
+def multiplicity_polynomial(lam, mu: Sequence):
     """Polynomial N -> multiplicity of N*mu in V(N*lam), degree <= r(r-1)/2.
 
     N*(lam - mu) lies in the root lattice only at the multiples of a step s,
@@ -228,12 +229,12 @@ def multiplicity_polynomial(lam, mu: Sequence, *, threads: Optional[int] = None)
     degree = r * (r - 1) // 2
 
     def counter(n: int) -> int:
-        return multiplicity(lam.scaled(n), tuple(n * x for x in mu), threads=threads)
+        return multiplicity(lam.scaled(n), tuple(n * x for x in mu))
 
     return _ray_fit(counter, degree, (lam.canonical[-1] - mu[-1]).denominator)
 
 
-def tensor_polynomial(lam, mu, nu, *, threads: Optional[int] = None):
+def tensor_polynomial(lam, mu, nu):
     """Polynomial N -> coefficient of V(N*nu) in V(N*lam) (x) V(N*mu)."""
     lam = _as_dominant(lam)
     mu = _as_dominant(mu)
@@ -246,7 +247,7 @@ def tensor_polynomial(lam, mu, nu, *, threads: Optional[int] = None):
     degree = r * (r - 1) // 2
 
     def counter(n: int) -> int:
-        return tensor_product(lam.scaled(n), mu.scaled(n), nu.scaled(n), threads=threads)
+        return tensor_product(lam.scaled(n), mu.scaled(n), nu.scaled(n))
 
     step = (lam.canonical[-1] + mu.canonical[-1] - nu.canonical[-1]).denominator
     return _ray_fit(counter, degree, step)

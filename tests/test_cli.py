@@ -202,17 +202,19 @@ class TestBatch:
     @pytest.mark.parametrize("bad, code", [
         (json.dumps([1]), "bad-record"),
         (json.dumps({"command": "mult", "rank": 2}), "missing-field"),
-        (json.dumps({"command": "kostant", "rank": 2, "vector": "1,0,-1", "threads": 0}),
-         "bad-threads"),
-        (json.dumps({"command": "kostant", "rank": 2, "vector": "1,0,-1", "threads": "x"}),
-         "bad-threads"),
         (json.dumps({"command": "kostant", "rank": True, "vector": "1,-1"}), "bad-rank"),
         (json.dumps({"command": ["mult"], "rank": 2}), "unknown-command"),
         ("[" * 100000 + "]" * 100000, "malformed-json"),
         (json.dumps({"command": "kostant", "rank": 2, "vector": "1,0,-1", "oracle": "false"}),
          "bad-oracle"),
-    ], ids=["not-object", "missing-key", "zero-threads", "string-threads", "bool-rank",
-            "list-command", "deep-nesting", "string-oracle"])
+        (json.dumps({"command": "convert", "rank": 2, "vector": "1,0,-1", "oracle": True}),
+         "bad-oracle"),
+        (json.dumps({"command": "poly-mult", "rank": 2, "lambda": "1,0,-1", "mu": "0,0,0",
+                     "oracle": True}), "bad-oracle"),
+        (json.dumps({"command": "poly-tensor", "rank": 1, "lambda": "1,0", "mu": "1,0",
+                     "nu": "2,0", "oracle": True}), "bad-oracle"),
+    ], ids=["not-object", "missing-key", "bool-rank", "list-command", "deep-nesting",
+            "string-oracle", "convert-oracle", "poly-mult-oracle", "poly-tensor-oracle"])
     def test_bad_record_does_not_end_stream(self, capsys, monkeypatch, bad, code):
         import io
 
@@ -223,6 +225,28 @@ class TestBatch:
         assert rows[0]["error"] == code
         assert rows[1]["value"] == "2"
         assert exit_code == EXIT_INVALID
+
+    @pytest.mark.parametrize("extra", [
+        {"threads": 2}, {"threads": 0}, {"threads": "x"}, {"colour": [1, {"a": None}]},
+        {"oracle": False},
+    ], ids=["two-threads", "zero-threads", "string-threads", "unknown-key", "oracle-false"])
+    def test_inert_keys_do_not_change_the_answer(self, capsys, monkeypatch, extra):
+        import io
+
+        records = [
+            {"command": "kostant", "rank": 2, "vector": "1,0,-1"},
+            {"command": "mult", "rank": 3, "lambda": "1,0,0,-1", "mu": "0,0,0,0"},
+            {"command": "convert", "rank": 2, "vector": "1,0,-1", "to": "fundamental"},
+            {"command": "poly-mult", "rank": 2, "lambda": "1,0,-1", "mu": "0,0,0"},
+            {"command": "poly-tensor", "rank": 1, "lambda": "1,0", "mu": "1,0", "nu": "2,0"},
+        ]
+        lines = [json.dumps(r) for r in records] + [json.dumps({**r, **extra}) for r in records]
+        monkeypatch.setattr("sys.stdin", io.StringIO("\n".join(lines)))
+        code, out, _ = run_cli(capsys, "batch")
+        rows = [json.loads(line) for line in out.strip().splitlines()]
+        assert [row["value"] for row in rows[5:]] == [row["value"] for row in rows[:5]]
+        assert all("error" not in row and "oracle" not in row for row in rows)
+        assert code == EXIT_OK
 
     def test_error_lines_carry_the_stdin_line_number(self, capsys, monkeypatch):
         import io
@@ -329,10 +353,12 @@ def near_valid_records(draw):
         return sorted(xs, reverse=True) if dominant and basis == "canonical" else xs
 
     head = draw(st.lists(st.integers(-3, 3), min_size=rank, max_size=rank))
-    record = {"command": draw(st.sampled_from(COMMANDS)), "rank": rank, "basis": basis,
+    command = draw(st.sampled_from(COMMANDS))
+    # only mult, tensor and kostant have an oracle; the others refuse "oracle": true
+    with_oracle = command in ("mult", "tensor", "kostant") and draw(st.booleans())
+    record = {"command": command, "rank": rank, "basis": basis,
               "lambda": weight(True), "mu": weight(draw(st.booleans())), "nu": weight(True),
-              "vector": head + [-sum(head)], "to": "fundamental",
-              "oracle": draw(st.booleans()), "threads": draw(st.sampled_from([None, 1]))}
+              "vector": head + [-sum(head)], "to": "fundamental", "oracle": with_oracle}
     for _ in range(draw(st.integers(0, 2))):
         key = draw(st.sampled_from(sorted(record)))
         change = draw(st.integers(0, 3))
@@ -356,7 +382,6 @@ def _answers_or_refuses(record):
 
 
 class TestRunRecordFuzz:
-    # threads >= 2 is never drawn: a fuzz example must not start a pool.
     @settings(max_examples=150, deadline=None)
     @given(json_values)
     def test_arbitrary_json(self, record):

@@ -24,6 +24,7 @@ from kostant.reference import (
     tensor_bruteforce_lr,
     weyl_dimension,
 )
+from kostant.residues import _partition_of
 from kostant.vectors import (
     DominantWeight,
     ValidationError,
@@ -80,12 +81,15 @@ class TestMultiplicity:
                 table_key,
             )
 
-    def test_threads_do_not_change_values(self):
-        lam = theta(3)
-        zero = (0, 0, 0, 0)
-        assert multiplicity(lam, zero) == multiplicity(lam, zero, threads=3)
-        # 66 terms: enough for the chunked pool to run partition_counts
-        assert multiplicity(theta(5), (0,) * 6, threads=2) == 1024
+    def test_repeated_sum_is_answered_from_the_process_memo(self):
+        # theta(5) at weight zero is a sum of 66 terms with distinct arguments
+        _partition_of.cache_clear()
+        assert multiplicity(theta(5), (0,) * 6) == 1024
+        info = _partition_of.cache_info()
+        assert (info.hits, info.misses) == (0, 66)
+        assert multiplicity(theta(5), (0,) * 6) == 1024
+        info = _partition_of.cache_info()
+        assert (info.hits, info.misses) == (66, 66)
 
 
 class TestTensorProduct:
@@ -128,10 +132,6 @@ class TestTensorProduct:
             assert tensor_product(lam, mu, nu) == tensor_bruteforce_lr(
                 lam, mu, nu
             ), (lam.fundamental(), mu.fundamental(), nu.fundamental())
-
-    def test_threads_do_not_change_values(self):
-        adj = DominantWeight((1, 0, -1))
-        assert tensor_product(adj, adj, adj, threads=2) == 2
 
     def test_nonzero_common_sum_allowed(self):
         # the adjoint cube shifted so every weight gains (1,1,1)
@@ -331,7 +331,7 @@ class TestIntegerRepresentatives:
     def test_partition_arguments_are_ints(self, monkeypatch):
         seen = []
 
-        def recording(fn, items, threads=None):
+        def recording(fn, items):
             seen.extend(items)
             return fn(items)
 
