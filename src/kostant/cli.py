@@ -9,6 +9,10 @@ Commands
     poly-tensor exact polynomial N -> tensor coefficient along the dilated ray
     batch       JSON-lines records on stdin, one JSON result per line
 
+mult, tensor and kostant take --oracle ("oracle": true in a batch record), a
+cross-check against a slow independent method; convert, poly-mult and
+poly-tensor have no oracle.  The four weight commands (mult, tensor,
+poly-mult, poly-tensor) read their weights in --basis, canonical by default.
 Vectors are comma-separated exact rationals (integers or p/q; floats are
 rejected).  Polynomial commands print the coefficients in ascending degree,
 e.g. "1,3,3,1".  A ray that meets the root lattice only at the multiples of
@@ -29,7 +33,7 @@ import re
 import sys
 import time
 from fractions import Fraction
-from typing import Optional, Sequence, Tuple
+from typing import Callable, NamedTuple, Optional, Sequence, Tuple
 
 from .formulas import (
     RayFitFailure,
@@ -48,7 +52,6 @@ from .residues import kostant_partition
 from .vectors import (
     DominantWeight,
     ValidationError,
-    as_vector,
     from_fundamental,
     to_fundamental,
 )
@@ -103,13 +106,43 @@ def _weight_arg(record: dict, name: str, rank: int, basis: str) -> Tuple[Fractio
     return entries
 
 
+class _Query(NamedTuple):
+    help: str
+    weights: Tuple[Tuple[str, str], ...]  # (record key, kind), read and checked in order
+    formula: Callable
+    oracle: Optional[Callable] = None
+
+
+_VECTOR = (("vector", "vector"),)
+_PAIR = (("lambda", "dominant"), ("mu", "weight"))
+_TRIPLE = (("lambda", "dominant"), ("mu", "dominant"), ("nu", "dominant"))
+
+# The queries a record or a subcommand can run.  A weight of kind "dominant"
+# or "weight" is read in the record's basis (flag --<key>); the "vector" of a
+# partition count is positional and always canonical.  The lambdas look each
+# function up when a record runs, so a name patched in this module is used.
+QUERIES = {
+    "mult": _Query("weight multiplicity in an irreducible", _PAIR,
+                   lambda *w: multiplicity(*w), lambda *w: multiplicity_freudenthal(*w)),
+    "tensor": _Query("tensor product coefficient", _TRIPLE,
+                     lambda *w: tensor_product(*w), lambda *w: tensor_bruteforce_lr(*w)),
+    "kostant": _Query("partition count of a zero-sum vector", _VECTOR,
+                      lambda a: kostant_partition(a), lambda a: kostant_partition_bruteforce(a)),
+    "poly-mult": _Query("multiplicity polynomial along a dilation ray", _PAIR,
+                        lambda *w: multiplicity_polynomial(*w)),
+    "poly-tensor": _Query("tensor polynomial along a dilation ray", _TRIPLE,
+                          lambda *w: tensor_polynomial(*w)),
+}
+# A tuple, not the dict: membership must not hash arbitrary JSON values.
+_COMMANDS = (*QUERIES, "convert")
+
+
 def run_record(record: dict) -> dict:
     """Execute one query record; returns a result dict (see batch mode)."""
     if not isinstance(record, dict):
         raise ValidationError("bad-record", "a record must be a JSON object")
-    # Tuples, not sets: membership must not hash arbitrary JSON values.
     command = record.get("command")
-    if command not in ("mult", "tensor", "kostant", "convert", "poly-mult", "poly-tensor"):
+    if command not in _COMMANDS:
         raise ValidationError("unknown-command", f"unknown command {command!r}")
     rank = record.get("rank")
     # bool is a subclass of int, but true is not a rank
@@ -121,83 +154,54 @@ def run_record(record: dict) -> dict:
     want_oracle = record.get("oracle", False)
     if not isinstance(want_oracle, bool):
         raise ValidationError("bad-oracle", "oracle must be true or false")
-    if want_oracle and command in ("convert", "poly-mult", "poly-tensor"):
+    query = QUERIES.get(command)
+    if want_oracle and (query is None or query.oracle is None):
         raise ValidationError("bad-oracle", f"{command} has no oracle")
 
-    oracle_verdict: Optional[str] = None
     started = time.perf_counter()
-
-    if command == "kostant":
-        a = _parse_vector(_field(record, "vector"))
-        if len(a) != rank + 1:
-            raise ValidationError("bad-length", f"rank {rank} takes {rank + 1} entries")
-        value = kostant_partition(a)
-        out = str(value)
+    result = {}
+    if query is None:  # convert
+        to = record.get("to", "fundamental")
+        if to not in ("canonical", "fundamental"):
+            raise ValidationError("bad-basis", f"unknown target basis {to!r}")
+        source = "canonical" if to == "fundamental" else "fundamental"
+        entries = _weight_arg(record, "vector", rank, source)
+        out = ",".join(map(str, to_fundamental(entries) if to == "fundamental" else entries))
+    else:
+        weights = []
+        for key, kind in query.weights:
+            entries = _weight_arg(record, key, rank, "canonical" if kind == "vector" else basis)
+            weights.append(DominantWeight(entries) if kind == "dominant" else entries)
+        value = query.formula(*weights)
+        out = _render(value)
         if want_oracle:
-            oracle_verdict = _oracle_verdict(lambda: kostant_partition_bruteforce(a), value)
-    elif command == "convert":
-        direction = record.get("to", "fundamental")
-        entries = _parse_vector(_field(record, "vector"))
-        if direction == "fundamental":
-            if len(entries) != rank + 1:
-                raise ValidationError("bad-length", f"rank {rank} takes {rank + 1} entries")
-            result = to_fundamental(entries)
-        elif direction == "canonical":
-            if len(entries) != rank:
-                raise ValidationError("bad-length", f"rank {rank} takes {rank} coordinates")
-            result = from_fundamental(entries)
-        else:
-            raise ValidationError("bad-basis", f"unknown target basis {direction!r}")
-        out = ",".join(map(str, result))
-    elif command == "mult":
-        lam = DominantWeight(_weight_arg(record, "lambda", rank, basis))
-        mu = _weight_arg(record, "mu", rank, basis)
-        value = multiplicity(lam, mu)
-        out = str(value)
-        if want_oracle:
-            oracle_verdict = _oracle_verdict(lambda: multiplicity_freudenthal(lam, mu), value)
-    elif command == "tensor":
-        lam = DominantWeight(_weight_arg(record, "lambda", rank, basis))
-        mu = DominantWeight(_weight_arg(record, "mu", rank, basis))
-        nu = DominantWeight(_weight_arg(record, "nu", rank, basis))
-        value = tensor_product(lam, mu, nu)
-        out = str(value)
-        if want_oracle:
-            oracle_verdict = _oracle_verdict(lambda: tensor_bruteforce_lr(lam, mu, nu), value)
-    elif command == "poly-mult":
-        lam = DominantWeight(_weight_arg(record, "lambda", rank, basis))
-        mu = _weight_arg(record, "mu", rank, basis)
-        out = _render_ray(multiplicity_polynomial(lam, mu))
-    else:  # poly-tensor
-        lam = DominantWeight(_weight_arg(record, "lambda", rank, basis))
-        mu = DominantWeight(_weight_arg(record, "mu", rank, basis))
-        nu = DominantWeight(_weight_arg(record, "nu", rank, basis))
-        out = _render_ray(tensor_polynomial(lam, mu, nu))
-
+            result["oracle"] = _oracle_verdict(query.oracle, weights, value)
     elapsed_ms = (time.perf_counter() - started) * 1000.0
-    result = {"value": out, "time_ms": round(elapsed_ms, 3)}
-    if want_oracle:
-        result["oracle"] = oracle_verdict
-    return result
+    return {"value": out, "time_ms": round(elapsed_ms, 3), **result}
 
 
-def _oracle_verdict(run_oracle, value) -> Optional[str]:
+def _oracle_verdict(oracle, weights, value) -> Optional[str]:
     try:
-        expected = run_oracle()
+        expected = oracle(*weights)
     except OracleDomainError:
         return None  # outside the oracle's box; skipped
     return "agree" if expected == value else "disagree"
 
 
-def _render_ray(fit) -> str:
-    if isinstance(fit, RayFitFailure):
-        values = ",".join(str(v) for v in fit.values)
-        return f"fit-failed[{fit.reason}]:{values}"
-    text = ",".join(map(str, fit.coefficients))
-    return text if fit.step == 1 else f"{text};step={fit.step}"
+def _render(value) -> str:
+    if isinstance(value, int):
+        return str(value)
+    if isinstance(value, RayFitFailure):
+        values = ",".join(str(v) for v in value.values)
+        return f"fit-failed[{value.reason}]:{values}"
+    text = ",".join(map(str, value.coefficients))
+    return text if value.step == 1 else f"{text};step={value.step}"
 
 
-def _emit(result: dict, timing: bool) -> None:
+def _single(args: argparse.Namespace) -> int:
+    record = vars(args)
+    timing = record.pop("timing", False)
+    result = run_record(record)
     print(result["value"])
     if result.get("oracle") is not None:
         print(f"oracle: {result['oracle']}")
@@ -205,39 +209,21 @@ def _emit(result: dict, timing: bool) -> None:
         print("oracle: skipped (outside reference box)")
     if timing:
         print(f"time_ms: {result['time_ms']}")
+    return EXIT_ORACLE_MISMATCH if result.get("oracle") == "disagree" else EXIT_OK
 
 
-def _single(args: argparse.Namespace, command: str) -> int:
-    record = {
-        "command": command,
-        "rank": args.rank,
-        "basis": getattr(args, "basis", "canonical"),
-        "oracle": getattr(args, "oracle", False),
-    }
-    for key in ("lam", "mu", "nu"):
-        value = getattr(args, key, None)
-        if value is not None:
-            record["lambda" if key == "lam" else key] = value
-    if getattr(args, "vector", None) is not None:
-        record["vector"] = args.vector
-    if getattr(args, "to", None) is not None:
-        record["to"] = args.to
-    result = run_record(record)
-    _emit(result, getattr(args, "timing", False))
-    if result.get("oracle") == "disagree":
-        return EXIT_ORACLE_MISMATCH
-    return EXIT_OK
-
-
-def _batch(args: argparse.Namespace) -> int:
+def _batch() -> int:
     worst = EXIT_OK
-    for number, line in enumerate(sys.stdin, 1):  # physical lines: blank ones count
+    # Bytes, decoded per line as UTF-8 whatever the locale, so that a line
+    # that does not decode is one malformed record, not the end of the stream.
+    stream = getattr(sys.stdin, "buffer", sys.stdin)
+    for number, line in enumerate(stream, 1):  # physical lines: blank ones count
         line = line.strip()
         if not line:
             continue
         try:
-            record = json.loads(line)
-        except (json.JSONDecodeError, RecursionError) as exc:  # deep nesting recurses
+            record = json.loads(line.decode("utf-8") if isinstance(line, bytes) else line)
+        except (ValueError, RecursionError) as exc:  # bad UTF-8 or JSON; deep nesting recurses
             print(json.dumps({"error": "malformed-json", "message": str(exc), "line": number}))
             worst = max(worst, EXIT_INVALID)
             continue
@@ -259,19 +245,6 @@ def _batch(args: argparse.Namespace) -> int:
     return worst
 
 
-def _add_common(p: argparse.ArgumentParser, oracle: bool = True) -> None:
-    p.add_argument("--rank", type=int, required=True, help="rank r of A_r")
-    p.add_argument("--timing", action="store_true", help="print wall-clock time")
-    if oracle:
-        p.add_argument("--oracle", action="store_true",
-                       help="cross-check against the brute-force reference when inside its box")
-
-
-def _add_basis(p: argparse.ArgumentParser) -> None:
-    p.add_argument("--basis", choices=("canonical", "fundamental"), default="canonical",
-                   help="how weight vectors are given (default: canonical)")
-
-
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="kostant",
@@ -279,59 +252,34 @@ def build_parser() -> argparse.ArgumentParser:
                     "coefficients for the root system A_r.",
     )
     sub = parser.add_subparsers(dest="command", required=True)
-
-    p = sub.add_parser("mult", help="weight multiplicity in an irreducible")
-    _add_common(p)
-    _add_basis(p)
-    p.add_argument("--lambda", dest="lam", required=True, help="highest weight")
-    p.add_argument("--mu", required=True, help="weight whose multiplicity is wanted")
-    p.set_defaults(func=lambda a: _single(a, "mult"))
-
-    p = sub.add_parser("tensor", help="tensor product coefficient")
-    _add_common(p)
-    _add_basis(p)
-    p.add_argument("--lambda", dest="lam", required=True)
-    p.add_argument("--mu", required=True)
-    p.add_argument("--nu", required=True)
-    p.set_defaults(func=lambda a: _single(a, "tensor"))
-
-    p = sub.add_parser("kostant", help="partition count of a zero-sum vector")
-    _add_common(p)
-    p.add_argument("vector", help="comma-separated integral zero-sum vector")
-    p.set_defaults(func=lambda a: _single(a, "kostant"))
+    for command, query in QUERIES.items():
+        p = sub.add_parser(command, help=query.help)
+        p.add_argument("--rank", type=int, required=True, help="rank r of A_r")
+        p.add_argument("--timing", action="store_true", help="print wall-clock time")
+        if query.oracle is not None:
+            p.add_argument("--oracle", action="store_true",
+                           help="cross-check against the brute-force reference when inside its box")
+        if query.weights != _VECTOR:
+            p.add_argument("--basis", choices=("canonical", "fundamental"), default="canonical",
+                           help="how weight vectors are given (default: canonical)")
+        for key, kind in query.weights:
+            if kind == "vector":
+                p.add_argument(key, help="comma-separated integral zero-sum vector")
+            else:
+                p.add_argument("--" + key, required=True, help=f"{kind} {key}")
 
     p = sub.add_parser("convert", help="basis conversion")
     p.add_argument("--rank", type=int, required=True)
     p.add_argument("--to", choices=("fundamental", "canonical"), required=True)
     p.add_argument("vector")
-    p.set_defaults(func=lambda a: _single(a, "convert"))
-
-    p = sub.add_parser("poly-mult", help="multiplicity polynomial along a dilation ray")
-    _add_common(p, oracle=False)
-    _add_basis(p)
-    p.add_argument("--lambda", dest="lam", required=True)
-    p.add_argument("--mu", required=True)
-    p.set_defaults(func=lambda a: _single(a, "poly-mult"))
-
-    p = sub.add_parser("poly-tensor", help="tensor polynomial along a dilation ray")
-    _add_common(p, oracle=False)
-    _add_basis(p)
-    p.add_argument("--lambda", dest="lam", required=True)
-    p.add_argument("--mu", required=True)
-    p.add_argument("--nu", required=True)
-    p.set_defaults(func=lambda a: _single(a, "poly-tensor"))
-
-    p = sub.add_parser("batch", help="JSON-lines records on stdin")
-    p.set_defaults(func=_batch)
-
+    sub.add_parser("batch", help="JSON-lines records on stdin")
     return parser
 
 
 def main(argv: Optional[Sequence[str]] = None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
+    args = build_parser().parse_args(argv)
     try:
-        return args.func(args)
+        return _batch() if args.command == "batch" else _single(args)
     except ValidationError as exc:
         print(json.dumps({"error": exc.code, "message": str(exc)}), file=sys.stderr)
         return EXIT_INVALID

@@ -25,7 +25,7 @@ from collections import OrderedDict, namedtuple
 from functools import lru_cache
 from itertools import accumulate
 from math import comb, lcm
-from operator import add, mul
+from operator import add, index, mul
 from typing import Callable, List, Sequence, Tuple
 
 from .permutations import Permutation
@@ -274,14 +274,22 @@ class _Memo(OrderedDict):
 _partition_of = _Memo(1 << 15)
 
 
+def _int_key(a: Sequence) -> Tuple[int, ...]:
+    try:
+        return tuple(map(index, a))
+    except TypeError:  # Fractions or floats: integral Fractions pass, the rest are refused
+        return int_vector(as_vector(a))
+
+
 def partition_counts(vectors: Sequence[Sequence[int]]) -> List[int]:
     """Partition counts of integral zero-sum vectors, in input order.
 
     Repeats and earlier results come from the memo; the rest are counted by
-    one batched residue walk per rank (zero outside the cone).
+    one batched residue walk per rank (zero outside the cone).  Entries that
+    are not integers are refused as kostant_partition refuses them.
     """
     memo = _partition_of
-    keys = [tuple(map(int, a)) for a in vectors]
+    keys = [_int_key(a) for a in vectors]
     fresh = {}
     for a in dict.fromkeys(keys):
         if a in memo:
@@ -306,9 +314,7 @@ def partition_counts(vectors: Sequence[Sequence[int]]) -> List[int]:
 
 def kostant_partition(a: Sequence) -> int:
     """Number of ways to write a as a non-negative integer sum of positive roots."""
-    a = as_vector(a)
-    if not all(x.denominator == 1 for x in a):
-        raise ValidationError("non-integral", "partition counts need an integral vector")
+    a = int_vector(as_vector(a))
     if sum(a) != 0:
         raise ValidationError("not-zero-sum", "partition counts need a zero-sum vector")
-    return partition_counts([int_vector(a)])[0]
+    return partition_counts([a])[0]

@@ -1,6 +1,10 @@
 """Command-line interface behavior, including batch mode and exit codes."""
 
+import argparse
 import json
+import pathlib
+import shlex
+import sys
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -11,6 +15,7 @@ from kostant.cli import (
     EXIT_OK,
     EXIT_ORACLE_MISMATCH,
     EXIT_RESOURCE,
+    build_parser,
     main,
     run_record,
 )
@@ -116,6 +121,62 @@ class TestSingleCommands:
         )
         assert code == EXIT_OK
         assert "time_ms:" in out
+
+
+README = pathlib.Path(__file__).resolve().parent.parent / "README.md"
+
+
+def _readme_examples():
+    """(command line, printed lines) for every "$ kostant ..." line of README.md."""
+    examples, current = [], None
+    for line in README.read_text().splitlines():
+        if line.startswith("$ kostant "):
+            current = (line[2:], [])
+            examples.append(current)
+        elif line.startswith("$ ") or line.startswith("```"):
+            current = None
+        elif current is not None:
+            current[1].append(line)
+    return examples
+
+
+# Every subcommand's flags and positionals: --oracle only where there is an
+# oracle, --basis only on the four weight commands, no --timing on convert.
+SURFACE = {
+    "mult": ({"--rank", "--timing", "--oracle", "--basis", "--lambda", "--mu"}, []),
+    "tensor": ({"--rank", "--timing", "--oracle", "--basis", "--lambda", "--mu", "--nu"}, []),
+    "kostant": ({"--rank", "--timing", "--oracle"}, ["vector"]),
+    "convert": ({"--rank", "--to"}, ["vector"]),
+    "poly-mult": ({"--rank", "--timing", "--basis", "--lambda", "--mu"}, []),
+    "poly-tensor": ({"--rank", "--timing", "--basis", "--lambda", "--mu", "--nu"}, []),
+    "batch": (set(), []),
+}
+
+
+def _subparsers():
+    parser = build_parser()
+    return next(a for a in parser._actions if isinstance(a, argparse._SubParsersAction)).choices
+
+
+class TestSurface:
+    @pytest.mark.parametrize("line, printed", _readme_examples(), ids=lambda x: str(x)[:40])
+    def test_readme_example(self, capsys, line, printed):
+        argv = shlex.split(line)[1:]
+        assert main(argv) == EXIT_OK
+        assert capsys.readouterr().out.splitlines() == printed
+
+    def test_readme_has_examples(self):
+        assert len(_readme_examples()) >= 7
+
+    def test_subcommands(self):
+        assert set(_subparsers()) == set(SURFACE)
+
+    @pytest.mark.parametrize("command", sorted(SURFACE))
+    def test_flags(self, command):
+        parser = _subparsers()[command]
+        flags = {opt for a in parser._actions for opt in a.option_strings} - {"-h", "--help"}
+        positionals = [a.dest for a in parser._actions if not a.option_strings]
+        assert (flags, positionals) == SURFACE[command]
 
 
 class TestValidation:
@@ -271,6 +332,61 @@ class TestBatch:
         assert [(row["error"], row["line"]) for row in rows[1:]] == [
             ("malformed-json", 3), ("not-zero-sum", 4), ("internal-error", 6)]
         assert exit_code == EXIT_INTERNAL
+
+    @pytest.mark.skipif(not hasattr(sys, "get_int_max_str_digits"),
+                        reason="this Python converts integers of any length")
+    def test_integer_past_the_digit_limit_is_malformed(self, capsys, monkeypatch):
+        import io
+
+        huge = '{"command": "kostant", "rank": %s, "vector": "1,-1"}' % ("9" * 5000)
+        good = json.dumps({"command": "kostant", "rank": 1, "vector": "1,-1"})
+        monkeypatch.setattr("sys.stdin", io.StringIO(huge + "\n" + good))
+        exit_code, out, _ = run_cli(capsys, "batch")
+        rows = [json.loads(line) for line in out.strip().splitlines()]
+        assert (rows[0]["error"], rows[0]["line"], rows[1]["value"]) == ("malformed-json", 1, "1")
+        assert exit_code == EXIT_INVALID
+
+    def test_records_call_the_functions_named_in_the_cli_module(self, capsys, monkeypatch):
+        # Patches of these names (as the benchmark tracer makes) must be what runs.
+        import io
+
+        records = {
+            "multiplicity": {"command": "mult", "rank": 1, "lambda": "1,0", "mu": "1,0"},
+            "tensor_product": {"command": "tensor", "rank": 1, "lambda": "1,0", "mu": "1,0",
+                               "nu": "2,0"},
+            "multiplicity_polynomial": {"command": "poly-mult", "rank": 1, "lambda": "1,0",
+                                        "mu": "1,0"},
+            "tensor_polynomial": {"command": "poly-tensor", "rank": 1, "lambda": "1,0",
+                                  "mu": "1,0", "nu": "2,0"},
+            "kostant_partition": {"command": "kostant", "rank": 1, "vector": "1,-1"},
+        }
+        for name in records:
+            def broken(*args, name=name):
+                raise RuntimeError(f"patched {name}")
+
+            monkeypatch.setattr(f"kostant.cli.{name}", broken)
+        lines = "\n".join(json.dumps(r) for r in records.values())
+        monkeypatch.setattr("sys.stdin", io.StringIO(lines))
+        exit_code, out, _ = run_cli(capsys, "batch")
+        rows = [json.loads(line) for line in out.strip().splitlines()]
+        assert [(row["error"], row["message"], row["line"]) for row in rows] == [
+            ("internal-error", f"RuntimeError: patched {name}", number)
+            for number, name in enumerate(records, 1)]
+        assert exit_code == EXIT_INTERNAL
+
+    def test_undecodable_line_is_malformed_and_the_stream_goes_on(self, capsys, monkeypatch):
+        import io
+
+        good = json.dumps({"command": "kostant", "rank": 2, "vector": "2,0,-2"}).encode()
+        raw = b"\xff\xfe\n" + good + b"\n"
+        strict = io.TextIOWrapper(io.BytesIO(raw), encoding="utf-8", errors="strict")
+        monkeypatch.setattr("sys.stdin", strict)
+        exit_code, out, err = run_cli(capsys, "batch")
+        rows = [json.loads(line) for line in out.strip().splitlines()]
+        assert (rows[0]["error"], rows[0]["line"]) == ("malformed-json", 1)
+        assert rows[1]["value"] == "3"
+        assert exit_code == EXIT_INVALID
+        assert "Traceback" not in err
 
     @pytest.mark.parametrize("exc, error, exit_expected", [
         (AssertionError("alternating multiplicity sum came out negative"), "internal-error",

@@ -293,6 +293,17 @@ class TestPartitionCounts:
         assert _partition_of.cache_info().hits == 2
         assert partition_counts([]) == []
 
+    @pytest.mark.parametrize("vector, code", [
+        ((Fraction(1, 2), 0, Fraction(-1, 2)), "non-integral"),
+        ((1.9, 0, -1.9), "inexact-entry"),
+    ], ids=["half-integral", "float"])
+    def test_entries_that_are_not_integers_are_refused(self, vector, code):
+        for count in (lambda a: partition_counts([(2, 0, -2), a]), kostant_partition):
+            with pytest.raises(ValidationError) as err:
+                count(vector)
+            assert err.value.code == code
+        assert partition_counts([(Fraction(2), 0, Fraction(-2))]) == [3]
+
     @pytest.mark.parametrize("r, steps", [(4, 6), (5, 15), (6, 39)])
     def test_theta_takes_one_step_per_distinct_order_prefix(self, monkeypatch, r, steps):
         # Walking each term on its own takes 72, 438 and 3582 steps.
