@@ -34,34 +34,7 @@ from .parallel import map_counts
 from .permsearch import valid_couples, valid_permutations
 from .permutations import Permutation
 from .residues import partition_counts
-from .vectors import DominantWeight, ValidationError, as_vector, is_integral, to_fundamental
-
-
-def _as_dominant(lam) -> DominantWeight:
-    return lam if isinstance(lam, DominantWeight) else DominantWeight(as_vector(lam))
-
-
-def _pair(lam, mu) -> Tuple[DominantWeight, Tuple[Fraction, ...]]:
-    """lam dominant; mu a weight of the same rank and entry sum."""
-    lam = _as_dominant(lam)
-    mu = as_vector(mu)
-    if len(mu) != lam.rank + 1:
-        raise ValidationError("bad-length", f"mu must have {lam.rank + 1} entries")
-    if not is_integral(to_fundamental(mu)):
-        raise ValidationError("non-integral-weight", "mu needs integer consecutive differences")
-    if sum(lam.canonical) != sum(mu):
-        raise ValidationError("unequal-sums", "lambda and mu must have equal entry sums")
-    return lam, mu
-
-
-def _triple(lam, mu, nu) -> Tuple[DominantWeight, DominantWeight, DominantWeight]:
-    """Three dominant weights of one rank with sum(lam) + sum(mu) = sum(nu)."""
-    lam, mu, nu = _as_dominant(lam), _as_dominant(mu), _as_dominant(nu)
-    if not (lam.rank == mu.rank == nu.rank):
-        raise ValidationError("bad-length", "weights must share one rank")
-    if sum(lam.canonical) + sum(mu.canonical) != sum(nu.canonical):
-        raise ValidationError("unequal-sums", "sum(lambda) + sum(mu) must equal sum(nu)")
-    return lam, mu, nu
+from .vectors import weight_pair, weight_triple
 
 
 def _lift(weight: Sequence[Fraction], shift: Fraction, rho_multiple: int) -> Tuple[int, ...]:
@@ -91,7 +64,7 @@ def multiplicity(lam, mu: Sequence) -> int:
     same entry sum as lam.  Weights differing from lam by something outside
     the root lattice have multiplicity zero, which is returned, not raised.
     """
-    lam, mu = _pair(lam, mu)
+    lam, mu = weight_pair(lam, mu)
     # lam and mu have integer consecutive differences, so lam - mu is
     # integral exactly when its last entry is, and then both weights
     # translated by lam's last entry are integral.
@@ -113,7 +86,7 @@ def multiplicity(lam, mu: Sequence) -> int:
 
 def tensor_product(lam, mu, nu, *, _sign=None) -> int:
     """Coefficient of V(nu) in V(lam) (x) V(mu); all three weights dominant."""
-    lam, mu, nu = _triple(lam, mu, nu)
+    lam, mu, nu = weight_triple(lam, mu, nu)
     shift1, shift2 = lam.canonical[-1], mu.canonical[-1]
     if (shift1 + shift2 - nu.canonical[-1]).denominator != 1:
         return 0
@@ -224,7 +197,7 @@ def multiplicity_polynomial(lam, mu: Sequence):
     (d+2)s and (d+3)s; if the verification fails the raw values are returned
     in a RayFitFailure instead of a polynomial.
     """
-    lam, mu = _pair(lam, mu)
+    lam, mu = weight_pair(lam, mu)
     r = lam.rank
     degree = r * (r - 1) // 2
 
@@ -236,7 +209,7 @@ def multiplicity_polynomial(lam, mu: Sequence):
 
 def tensor_polynomial(lam, mu, nu):
     """Polynomial N -> coefficient of V(N*nu) in V(N*lam) (x) V(N*mu)."""
-    lam, mu, nu = _triple(lam, mu, nu)
+    lam, mu, nu = weight_triple(lam, mu, nu)
     r = lam.rank
     degree = r * (r - 1) // 2
 

@@ -9,22 +9,21 @@ formula.  All are box-limited; out-of-box inputs raise OracleDomainError.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
 from fractions import Fraction
 from functools import lru_cache
-from itertools import product
-from typing import Dict, List, Sequence, Tuple
+from itertools import accumulate, product
+from math import prod
+from typing import Dict, Sequence, Tuple
 
 from .vectors import (
-    DominantWeight,
     ValidationError,
-    as_vector,
-    int_vector,
+    dominant,
     is_integral,
-    rank_of,
     rho,
-    to_fundamental,
+    root_vector,
     vec_add,
+    weight_pair,
+    weight_triple,
     zero_mean,
 )
 
@@ -37,91 +36,55 @@ class OracleDomainError(ValidationError):
 
 
 DP_ENTRY_BOUND = 12
-_DP_STATE_LIMIT = 4_000_000
+# Coin-change updates (states times roots) a DP table may take: rank 6 with
+# entries up to 3 needs 1.65M, rank 5 with entries up to 6 would need 2.36M.
+_DP_WORK_LIMIT = 2_000_000
 
 
-@dataclass
-class DPTable:
-    """Partition counts for every zero-sum integral vector in a box.
+def _dp_counts(rank: int, bound: int, roots: Sequence[Tuple[int, int]]) -> Dict[Tuple[int, ...], int]:
+    """Partition counts of every zero-sum integral vector with |a_i| <= bound.
 
-    States are indexed by the prefix-sum vector (P_1, ..., P_r) of a, which
-    is non-negative exactly on the cone.  Roots are folded in one at a time
-    with a coin-change pass; adding e_i - e_j bumps P_k for i <= k < j, so a
+    Keyed by the prefix-sum vector (P_1, ..., P_r) of a, which is
+    non-negative exactly on the cone; zero counts are left out.  The roots
+    e_i - e_j, given as (i, j), are folded in one at a time with a
+    coin-change pass; adding e_i - e_j bumps P_k for i <= k < j, so a
     lexicographically ascending sweep sees the smaller state first.
     """
-
-    rank: int
-    bound: int
-    caps: Tuple[int, ...] = field(init=False)
-    counts: Dict[Tuple[int, ...], int] = field(init=False)
-
-    def __post_init__(self):
-        r, b = self.rank, self.bound
-        # |a_i| <= b confines the prefix sums to 0 <= P_k <= min(k, r+1-k)*b.
-        self.caps = tuple(min(k, r + 1 - k) * b for k in range(1, r + 1))
-        self.counts = {}
-
-    @classmethod
-    def build(cls, rank: int, bound: int, root_order: Sequence[Tuple[int, int]] | None = None) -> "DPTable":
-        table = cls(rank, bound)
-        size = 1
-        for cap in table.caps:
-            size *= cap + 1
-        if size > _DP_STATE_LIMIT:
-            raise OracleDomainError(f"DP table would need {size} states")
-        states = sorted(product(*(range(cap + 1) for cap in table.caps)))
-        counts = {state: 0 for state in states}
-        counts[(0,) * rank] = 1
-        roots = root_order or [
-            (i, j) for i in range(1, rank + 2) for j in range(i + 1, rank + 2)
-        ]
-        for i, j in roots:
-            lo, hi = i - 1, min(j - 1, rank)  # prefix positions bumped by e_i - e_j
-            for state in states:
-                previous = list(state)
-                ok = True
-                for k in range(lo, hi):
-                    previous[k] -= 1
-                    if previous[k] < 0:
-                        ok = False
-                        break
-                if ok:
-                    counts[state] += counts[tuple(previous)]
-        table.counts = {s: c for s, c in counts.items() if c}
-        return table
-
-    def count(self, a: Sequence) -> int:
-        a = int_vector(as_vector(a))
-        if len(a) != self.rank + 1:
-            raise ValidationError("bad-length", "vector rank does not match the table")
-        if sum(a) != 0:
-            raise ValidationError("not-zero-sum", "partition counts need a zero-sum vector")
-        if max(abs(x) for x in a) > self.bound:
-            raise OracleDomainError(f"entries exceed the table bound {self.bound}")
-        prefix = []
-        total = 0
-        for x in a[:-1]:
-            total += x
-            if total < 0:
-                return 0
-            prefix.append(total)
-        return self.counts.get(tuple(prefix), 0)
+    # |a_i| <= b confines the prefix sums to 0 <= P_k <= min(k, r+1-k)*b.
+    caps = [min(k, rank + 1 - k) * bound for k in range(1, rank + 1)]
+    work = prod(cap + 1 for cap in caps) * len(roots)
+    if work > _DP_WORK_LIMIT:
+        raise OracleDomainError(f"DP table would need {work} coin-change updates")
+    states = list(product(*(range(cap + 1) for cap in caps)))
+    counts = dict.fromkeys(states, 0)
+    counts[(0,) * rank] = 1
+    for i, j in roots:
+        lo, hi = i - 1, min(j - 1, rank)  # prefix positions bumped by e_i - e_j
+        for state in states:
+            previous = list(state)
+            ok = True
+            for k in range(lo, hi):
+                previous[k] -= 1
+                if previous[k] < 0:
+                    ok = False
+                    break
+            if ok:
+                counts[state] += counts[tuple(previous)]
+    return {s: c for s, c in counts.items() if c}
 
 
 @lru_cache(maxsize=64)
-def _dp_table(rank: int, bound: int) -> DPTable:
-    return DPTable.build(rank, bound)
+def _dp_table(rank: int, bound: int) -> Dict[Tuple[int, ...], int]:
+    return _dp_counts(rank, bound, [(i, j) for i in range(1, rank + 2) for j in range(i + 1, rank + 2)])
 
 
 def kostant_partition_bruteforce(a: Sequence) -> int:
     """Partition count by dynamic programming; entries limited to |a_i| <= 12."""
-    v = int_vector(as_vector(a))
-    if sum(v) != 0:
-        raise ValidationError("not-zero-sum", "partition counts need a zero-sum vector")
-    bound = max(1, max(abs(x) for x in v))
+    v = root_vector(a)
+    bound = max(1, max(map(abs, v)))
     if bound > DP_ENTRY_BOUND:
         raise OracleDomainError(f"entries exceed the oracle bound {DP_ENTRY_BOUND}")
-    return _dp_table(rank_of(v), bound).count(v)
+    return _dp_table(len(v) - 1, bound).get(tuple(accumulate(v[:-1])), 0)
 
 
 _FREUDENTHAL_RANK_LIMIT = 4
@@ -192,7 +155,7 @@ def _freudenthal_table(lam0: Tuple[Fraction, ...]) -> Dict[Tuple[Fraction, ...],
 
 def freudenthal_multiplicities(lam) -> Dict[Tuple[Fraction, ...], int]:
     """Dominant-weight multiplicities of V(lam), keyed by zero-mean weights."""
-    lam = lam if isinstance(lam, DominantWeight) else DominantWeight(as_vector(lam))
+    lam = dominant(lam)
     if lam.rank > _FREUDENTHAL_RANK_LIMIT:
         raise OracleDomainError(f"Freudenthal oracle limited to rank {_FREUDENTHAL_RANK_LIMIT}")
     return _freudenthal_table(zero_mean(lam.canonical))
@@ -200,15 +163,7 @@ def freudenthal_multiplicities(lam) -> Dict[Tuple[Fraction, ...], int]:
 
 def multiplicity_freudenthal(lam, mu: Sequence) -> int:
     """Multiplicity of the weight mu in V(lam), by the Freudenthal recursion."""
-    lam = lam if isinstance(lam, DominantWeight) else DominantWeight(as_vector(lam))
-    mu = as_vector(mu)
-    if len(mu) != lam.rank + 1:
-        raise ValidationError("bad-length", "weight rank does not match")
-    diffs = to_fundamental(mu)
-    if not is_integral(diffs):
-        raise ValidationError("non-integral-weight", "mu needs integer consecutive differences")
-    if sum(lam.canonical) != sum(mu):
-        raise ValidationError("unequal-sums", "lambda and mu must have equal entry sums")
+    lam, mu = weight_pair(lam, mu)
     if not is_integral(tuple(a - b for a, b in zip(lam.canonical, mu))):
         return 0  # mu is not in the root lattice translate of lambda
     table = freudenthal_multiplicities(lam)
@@ -268,15 +223,9 @@ def _lr_count(outer: Sequence[int], inner: Sequence[int], content: Sequence[int]
 
 def tensor_bruteforce_lr(lam, mu, nu) -> int:
     """Tensor coefficient by Littlewood-Richardson counting, small ranks only."""
-    lam = lam if isinstance(lam, DominantWeight) else DominantWeight(as_vector(lam))
-    mu = mu if isinstance(mu, DominantWeight) else DominantWeight(as_vector(mu))
-    nu = nu if isinstance(nu, DominantWeight) else DominantWeight(as_vector(nu))
-    if not (lam.rank == mu.rank == nu.rank):
-        raise ValidationError("bad-length", "weights must share one rank")
+    lam, mu, nu = weight_triple(lam, mu, nu)
     if lam.rank > _LR_RANK_LIMIT:
         raise OracleDomainError(f"tableau oracle limited to rank {_LR_RANK_LIMIT}")
-    if sum(lam.canonical) + sum(mu.canonical) != sum(nu.canonical):
-        raise ValidationError("unequal-sums", "sum(lambda) + sum(mu) must equal sum(nu)")
 
     n = lam.rank + 1
     lam_p = [int(x - lam.canonical[-1]) for x in lam.canonical]
@@ -301,7 +250,7 @@ def tensor_bruteforce_lr(lam, mu, nu) -> int:
 
 def weyl_dimension(lam) -> int:
     """dim V(lam) = prod_{i<j} (l_i - l_j) / (j - i) with l = lam + rho."""
-    lam = lam if isinstance(lam, DominantWeight) else DominantWeight(as_vector(lam))
+    lam = dominant(lam)
     l = vec_add(lam.canonical, rho(lam.rank))
     n = lam.rank + 1
     value = Fraction(1)

@@ -25,11 +25,11 @@ from collections import OrderedDict, namedtuple
 from functools import lru_cache
 from itertools import accumulate
 from math import comb, lcm
-from operator import add, index, mul
+from operator import add, mul
 from typing import Callable, List, Sequence, Tuple
 
 from .permutations import Permutation
-from .vectors import ValidationError, as_vector, int_vector
+from .vectors import as_vector, root_vector
 
 
 def binomial(e: int, m: int) -> int:
@@ -274,22 +274,15 @@ class _Memo(OrderedDict):
 _partition_of = _Memo(1 << 15)
 
 
-def _int_key(a: Sequence) -> Tuple[int, ...]:
-    try:
-        return tuple(map(index, a))
-    except TypeError:  # Fractions or floats: integral Fractions pass, the rest are refused
-        return int_vector(as_vector(a))
-
-
 def partition_counts(vectors: Sequence[Sequence[int]]) -> List[int]:
     """Partition counts of integral zero-sum vectors, in input order.
 
     Repeats and earlier results come from the memo; the rest are counted by
-    one batched residue walk per rank (zero outside the cone).  Entries that
-    are not integers are refused as kostant_partition refuses them.
+    one batched residue walk per rank (zero outside the cone).  Each vector
+    is checked by root_vector, so a bad one raises its ValidationError code.
     """
     memo = _partition_of
-    keys = [_int_key(a) for a in vectors]
+    keys = [root_vector(a) for a in vectors]
     fresh = {}
     for a in dict.fromkeys(keys):
         if a in memo:
@@ -298,7 +291,7 @@ def partition_counts(vectors: Sequence[Sequence[int]]) -> List[int]:
             fresh[a] = 0
     by_rank: dict = {}
     for a in fresh:
-        if sum(a) == 0 and min(accumulate(a)) >= 0:  # in the cone
+        if min(accumulate(a)) >= 0:  # in the cone
             by_rank.setdefault(len(a), []).append(a)
     for batch in by_rank.values():
         weighted = [[(w, TERM_SIGN(Permutation(w))) for w in _special_orders(a)] for a in batch]
@@ -314,7 +307,4 @@ def partition_counts(vectors: Sequence[Sequence[int]]) -> List[int]:
 
 def kostant_partition(a: Sequence) -> int:
     """Number of ways to write a as a non-negative integer sum of positive roots."""
-    a = int_vector(as_vector(a))
-    if sum(a) != 0:
-        raise ValidationError("not-zero-sum", "partition counts need a zero-sum vector")
     return partition_counts([a])[0]

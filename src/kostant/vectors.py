@@ -4,7 +4,10 @@ Vectors live in R^{r+1}, written in the canonical basis, and every entry is
 an exact rational number.  The positive roots are e_i - e_j for i < j.  The
 conventions fixed here (fundamental coordinates, the Weyl vector rho, the
 highest root multiples theta, cone membership, regularity, deformation) are
-shared by every other module in the package.
+shared by every other module in the package, and so are the input checks:
+root_vector for a partition argument, dominant, weight_pair and weight_triple
+for the weights of a multiplicity or a tensor coefficient.  The engine and
+the oracles both call them, so a bad input gets one error code everywhere.
 """
 
 from __future__ import annotations
@@ -12,6 +15,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 from itertools import accumulate, combinations
+from operator import index
 from typing import Iterable, Sequence, Tuple
 
 Vector = Tuple[Fraction, ...]
@@ -127,14 +131,7 @@ def in_positive_cone(a: Sequence) -> bool:
     a_1 + ... + a_k is non-negative.
     """
     a = as_vector(a)
-    if sum(a) != 0:
-        return False
-    partial = Fraction(0)
-    for x in a[:-1]:
-        partial += x
-        if partial < 0:
-            return False
-    return True
+    return sum(a) == 0 and min(accumulate(a)) >= 0
 
 
 def is_regular(a: Sequence) -> bool:
@@ -153,6 +150,20 @@ def is_regular(a: Sequence) -> bool:
     return True
 
 
+def root_vector(a: Sequence) -> Tuple[int, ...]:
+    """A partition argument as ints: an integral zero-sum vector of r+1 >= 2 entries."""
+    a = tuple(a)
+    try:
+        v = tuple(map(index, a))
+    except TypeError:  # Fractions or floats: integral Fractions pass, the rest are refused
+        v = int_vector(as_vector(a))
+    if len(v) < 2:
+        raise ValidationError("bad-length", "a rank-r vector needs r+1 >= 2 entries")
+    if sum(v) != 0:
+        raise ValidationError("not-zero-sum", "partition counts need a zero-sum vector")
+    return v
+
+
 def deform(a: Sequence) -> Vector:
     """Regularising shift a + (1/(2r)) * (1, ..., 1, -r) for integral zero-sum a.
 
@@ -160,11 +171,7 @@ def deform(a: Sequence) -> Vector:
     a does, so cone membership and the residue machinery can be evaluated on
     the deformed point without changing the count.
     """
-    a = as_vector(a)
-    if not is_integral(a):
-        raise ValidationError("non-integral", "deform expects an integral vector")
-    if sum(a) != 0:
-        raise ValidationError("not-zero-sum", "deform expects a zero-sum vector")
+    a = root_vector(a)
     r = rank_of(a)
     eps = Fraction(1, 2 * r)
     return tuple(a[i] + eps for i in range(r)) + (a[r] - r * eps,)
@@ -218,3 +225,31 @@ class DominantWeight:
 
 def prefix_sums(v: Sequence[Fraction]) -> Tuple[Fraction, ...]:
     return tuple(accumulate(v))
+
+
+def dominant(lam) -> DominantWeight:
+    """lam as a DominantWeight, checked on the way in unless it is one already."""
+    return lam if isinstance(lam, DominantWeight) else DominantWeight(as_vector(lam))
+
+
+def weight_pair(lam, mu) -> Tuple[DominantWeight, Vector]:
+    """lam dominant; mu a weight of the same rank and entry sum."""
+    lam = dominant(lam)
+    mu = as_vector(mu)
+    if len(mu) != lam.rank + 1:
+        raise ValidationError("bad-length", f"mu must have {lam.rank + 1} entries")
+    if not is_integral(to_fundamental(mu)):
+        raise ValidationError("non-integral-weight", "mu needs integer consecutive differences")
+    if sum(lam.canonical) != sum(mu):
+        raise ValidationError("unequal-sums", "lambda and mu must have equal entry sums")
+    return lam, mu
+
+
+def weight_triple(lam, mu, nu) -> Tuple[DominantWeight, DominantWeight, DominantWeight]:
+    """Three dominant weights of one rank with sum(lam) + sum(mu) = sum(nu)."""
+    lam, mu, nu = dominant(lam), dominant(mu), dominant(nu)
+    if not (lam.rank == mu.rank == nu.rank):
+        raise ValidationError("bad-length", "weights must share one rank")
+    if sum(lam.canonical) + sum(mu.canonical) != sum(nu.canonical):
+        raise ValidationError("unequal-sums", "sum(lambda) + sum(mu) must equal sum(nu)")
+    return lam, mu, nu

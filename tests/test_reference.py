@@ -2,20 +2,26 @@
 
 import itertools
 import random
+import time
 from fractions import Fraction
 
 import pytest
 
+from kostant.formulas import multiplicity, tensor_product
 from kostant.reference import (
-    DPTable,
     OracleDomainError,
+    _dp_counts,
+    _dp_table,
     freudenthal_multiplicities,
     kostant_partition_bruteforce,
     multiplicity_freudenthal,
     tensor_bruteforce_lr,
     weyl_dimension,
 )
-from kostant.vectors import DominantWeight, ValidationError, from_fundamental, rho, theta
+from kostant.residues import kostant_partition, partition_counts
+from kostant.vectors import DominantWeight, ValidationError, deform, from_fundamental, rho, theta
+
+F = Fraction
 
 
 class TestDPTable:
@@ -33,18 +39,29 @@ class TestDPTable:
         with pytest.raises(OracleDomainError):
             kostant_partition_bruteforce((40, 0, -40))
 
+    def test_work_cap_refuses_before_building(self):
+        # rank 5 with entries up to 6 needs 2.36M coin-change updates
+        start = time.perf_counter()
+        with pytest.raises(OracleDomainError):
+            kostant_partition_bruteforce((6, 0, 0, 0, 0, -6))
+        assert time.perf_counter() - start < 0.1
+
+    def test_largest_table_under_the_cap_is_answered(self):
+        # rank 6 with entries up to 3: 1.65M updates
+        a = (3, 0, -1, 1, 0, 0, -3)
+        assert kostant_partition_bruteforce(a) == kostant_partition(a)
+
     def test_root_order_independence(self):
         # coin-change pass order must not matter
         rank, bound = 3, 4
-        base = DPTable.build(rank, bound)
+        base = _dp_table(rank, bound)
         rng = random.Random(3)
         roots = [
             (i, j) for i in range(1, rank + 1) for j in range(i + 1, rank + 2)
         ]
         for _ in range(4):
             rng.shuffle(roots)
-            other = DPTable.build(rank, bound, root_order=tuple(roots))
-            assert other.counts == base.counts
+            assert _dp_counts(rank, bound, tuple(roots)) == base
 
     def test_agrees_with_direct_enumeration(self):
         # independent check: count all multisets of positive roots directly
@@ -197,3 +214,52 @@ class TestWeylDimension:
                     tuple(x * n for x in rho(r))
                 )
                 assert weyl_dimension(lam) == (n + 1) ** n_roots
+
+
+class TestOneValidatorPerShape:
+    """The engine and its oracle refuse a bad input with one code."""
+
+    @pytest.mark.parametrize("vector, code", [
+        ((0,), "bad-length"),
+        ((1, 0, 0), "not-zero-sum"),
+        ((), "bad-length"),
+        ((F(1, 2), 0, F(-1, 2)), "non-integral"),
+        ((1.5, -1.5), "inexact-entry"),
+    ], ids=["rank-zero", "nonzero-sum", "empty", "half-integral", "float"])
+    def test_partition_arguments(self, vector, code):
+        # the engine, its batch form, the DP oracle and the deformation
+        checks = (lambda a: partition_counts([a]), kostant_partition,
+                  kostant_partition_bruteforce, deform)
+        for check in checks:
+            with pytest.raises(ValidationError) as err:
+                check(vector)
+            assert err.value.code == code
+
+    @pytest.mark.parametrize("engine, oracle, args, code", [
+        (multiplicity, multiplicity_freudenthal, ((1, 0, -1), (0, 0)), "bad-length"),
+        (multiplicity, multiplicity_freudenthal, ((1, 0, -1), (F(1, 2), 0, F(-1, 2))),
+         "non-integral-weight"),
+        (multiplicity, multiplicity_freudenthal, ((1, 0, -1), (1, 0, 0)), "unequal-sums"),
+        (multiplicity, multiplicity_freudenthal, ((0, 1, -1), (0, 0, 0)), "not-dominant"),
+        (multiplicity, multiplicity_freudenthal, ((1.0, 0, -1), (0, 0, 0)), "inexact-entry"),
+        (tensor_product, tensor_bruteforce_lr, ((1, 0, -1), (1, 0), (1, 0, -1)), "bad-length"),
+        (tensor_product, tensor_bruteforce_lr, ((1, 0, -1), (F(1, 2), 0, 0), (1, 0, -1)),
+         "non-integral-weight"),
+        (tensor_product, tensor_bruteforce_lr, ((1, 0, -1), (1, 0, -1), (1, 0, 0)),
+         "unequal-sums"),
+        (tensor_product, tensor_bruteforce_lr,
+         ((1, 0, 0, 0, -1), (1, 0, 0, 0, -1), (1, 0, 0, 0, 0)), "unequal-sums"),
+        (tensor_product, tensor_bruteforce_lr, ((0, 1, -1), (1, 0, -1), (1, 0, -1)),
+         "not-dominant"),
+        (tensor_product, tensor_bruteforce_lr, ((1, 0, -1), (1, 0, -1), (1, 0, -1.0)),
+         "inexact-entry"),
+    ], ids=[
+        "mult-length", "mult-non-integral", "mult-sums", "mult-non-dominant", "mult-float",
+        "tensor-length", "tensor-non-integral", "tensor-sums", "tensor-sums-rank-4",
+        "tensor-non-dominant", "tensor-float",
+    ])
+    def test_engine_and_oracle_agree(self, engine, oracle, args, code):
+        for check in (engine, oracle):
+            with pytest.raises(ValidationError) as err:
+                check(*args)
+            assert err.value.code == code
