@@ -10,7 +10,9 @@ prefixes position by position, carrying the partial sums, against the
 cumulative sums of v; candidates are visited in decreasing order of their
 contribution so a failed bound cuts the rest of the loop.  Prefixes that can
 no longer satisfy the current inequality are never extended, so the
-factorial set is never materialised.
+factorial set is never materialised.  Each prefix also carries its inversion
+count (appending i adds the number of larger entries already placed), so no
+result recounts it for its signature.
 """
 
 from __future__ import annotations
@@ -48,19 +50,21 @@ def valid_permutations(u: Sequence, v: Sequence) -> List[Permutation]:
     # Candidates (i, u_i) in decreasing u-order: once a candidate fails the
     # running inequality every later one fails too.
     order = sorted(enumerate(u, 1), key=itemgetter(1), reverse=True)
-    frontier: List[Tuple[Tuple[int, ...], int, int]] = [((), 0, 0)]
+    frontier: List[Tuple[Tuple[int, ...], int, int, int]] = [((), 0, 0, 0)]
     for bound in accumulate(v):
         extended = []
-        for prefix, mask, s in frontier:
+        for prefix, mask, s, inv in frontier:
             for i, x in order:
                 if (mask >> i) & 1:
                     continue
                 s_next = s + x
                 if s_next < bound:
                     break
-                extended.append((prefix + (i,), mask | (1 << i), s_next))
+                extended.append((prefix + (i,), mask | (1 << i), s_next,
+                                 inv + (mask >> i).bit_count()))
         frontier = extended
-    return [Permutation(p) for p in sorted(p for p, _, _ in frontier)]
+    found = sorted((p, inv) for p, _, _, inv in frontier)
+    return [Permutation._searched(p, inv) for p, inv in found]
 
 
 def valid_couples(u1: Sequence, u2: Sequence, v: Sequence) -> List[Tuple[Permutation, Permutation]]:
@@ -80,10 +84,10 @@ def valid_couples(u1: Sequence, u2: Sequence, v: Sequence) -> List[Tuple[Permuta
 
     order1 = sorted(enumerate(u1, 1), key=itemgetter(1), reverse=True)
     order2 = sorted(enumerate(u2, 1), key=itemgetter(1), reverse=True)
-    frontier: List[Tuple[Tuple[int, ...], Tuple[int, ...], int, int, int]] = [((), (), 0, 0, 0)]
+    frontier = [((), (), 0, 0, 0, 0, 0)]  # prefixes, masks, partial sum, inversion counts
     for bound in accumulate(v):
         extended = []
-        for p1, p2, m1, m2, s in frontier:
+        for p1, p2, m1, m2, s, inv1, inv2 in frontier:
             best2 = next(y for j, y in order2 if not (m2 >> j) & 1)
             for i, x in order1:
                 if (m1 >> i) & 1:
@@ -91,13 +95,16 @@ def valid_couples(u1: Sequence, u2: Sequence, v: Sequence) -> List[Tuple[Permuta
                 s1 = s + x
                 if s1 + best2 < bound:
                     break
+                q1, n1, i1 = p1 + (i,), m1 | (1 << i), inv1 + (m1 >> i).bit_count()
                 for j, y in order2:
                     if (m2 >> j) & 1:
                         continue
                     s2 = s1 + y
                     if s2 < bound:
                         break
-                    extended.append((p1 + (i,), p2 + (j,), m1 | (1 << i), m2 | (1 << j), s2))
+                    extended.append((q1, p2 + (j,), n1, m2 | (1 << j), s2,
+                                     i1, inv2 + (m2 >> j).bit_count()))
         frontier = extended
-    pairs = sorted((p1, p2) for p1, p2, _, _, _ in frontier)
-    return [(Permutation(p1), Permutation(p2)) for p1, p2 in pairs]
+    found = sorted((p1, p2, inv1, inv2) for p1, p2, _, _, _, inv1, inv2 in frontier)
+    return [(Permutation._searched(p1, inv1), Permutation._searched(p2, inv2))
+            for p1, p2, inv1, inv2 in found]

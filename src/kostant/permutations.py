@@ -23,6 +23,14 @@ class Permutation:
     def identity(cls, m: int) -> "Permutation":
         return cls(range(1, m + 1))
 
+    @classmethod
+    def _searched(cls, images: Tuple[int, ...], inversions: int) -> "Permutation":
+        """A permutation from a search that built its images and counted their
+        inversions along the way; neither is checked or recounted."""
+        w = cls.__new__(cls)
+        w.images, w._inversions, w._descents = images, inversions, None
+        return w
+
     def __len__(self) -> int:
         return len(self.images)
 

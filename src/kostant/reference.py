@@ -78,13 +78,22 @@ def _dp_table(rank: int, bound: int) -> Dict[Tuple[int, ...], int]:
     return _dp_counts(rank, bound, [(i, j) for i in range(1, rank + 2) for j in range(i + 1, rank + 2)])
 
 
+# Largest entry bound whose table has been built, per rank.  Adding a root
+# only raises prefix sums, so that table already holds every count a smaller
+# bound's table would.
+_dp_bound: Dict[int, int] = {}
+
+
 def kostant_partition_bruteforce(a: Sequence) -> int:
     """Partition count by dynamic programming; entries limited to |a_i| <= 12."""
     v = root_vector(a)
-    bound = max(1, max(map(abs, v)))
+    rank, bound = len(v) - 1, max(1, max(map(abs, v)))
     if bound > DP_ENTRY_BOUND:
         raise OracleDomainError(f"entries exceed the oracle bound {DP_ENTRY_BOUND}")
-    return _dp_table(len(v) - 1, bound).get(tuple(accumulate(v[:-1])), 0)
+    bound = max(bound, _dp_bound.get(rank, 0))
+    table = _dp_table(rank, bound)
+    _dp_bound[rank] = bound
+    return table.get(tuple(accumulate(v[:-1])), 0)
 
 
 _FREUDENTHAL_RANK_LIMIT = 4

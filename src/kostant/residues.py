@@ -45,30 +45,60 @@ def binomial(e: int, m: int) -> int:
     return (-comb(m - e - 1, m)) if (m % 2) else comb(m - e - 1, m)
 
 
-def _special_orders(entries: Sequence[int]) -> List[Tuple[int, ...]]:
-    """Images of the special orders of an integer vector (a_{r+1} is not read).
+# One object per distinct tuple held by any plan or chamber entry: orders,
+# (i, m_0) pairs, exponent tuples and source lists recur across entries, and
+# the rank bounds their number.
+_SHARED: dict = {}
+
+
+def _chamber(a: Sequence[int]) -> bytes:
+    """Byte m is 1 when the subset sum of a_1, ..., a_r with bit mask m is >= 0.
+
+    These signs are the chamber of a in the arrangement of walls a_S = 0, and
+    they are all that order selection reads.  Bit k of m stands for a_{k+1};
+    each doubling appends the sums that include the next entry.
+    """
+    sums = [0]
+    for x in a[:-1]:
+        sums += [s + x for s in sums]
+    return bytes([s >= 0 for s in sums])
+
+
+@lru_cache(maxsize=4096)
+def _special_orders(chamber: bytes) -> Tuple[Tuple[Tuple[int, ...], int], ...]:
+    """(images, TERM_SIGN) of each special order of the vectors in a chamber.
 
     A permutation w of {1, ..., r} qualifies when, for each i < r, the sign
     of the partial sum a_{w(1)} + ... + a_{w(i)} dictates the step: w(i) <
-    w(i+1) if the sum is >= 0 and w(i) > w(i+1) otherwise.  Built by prefix
-    extension with pruning; the full factorial set is never materialised.
+    w(i+1) if the sum is >= 0 and w(i) > w(i+1) otherwise.  A prefix's set of
+    positions is its bit mask, so its sign is chamber[mask >> 1].  Built by
+    prefix extension with pruning; the full factorial set is never
+    materialised.  Cached per process: every vector of a chamber shares it.
 
     For integral a these are also the orders of deform(a), regular or not:
     the deformation adds i/(2r) to a partial sum of i < r entries, which
     keeps a non-negative integer sum non-negative and a negative one negative.
     """
-    r = len(entries) - 1
-    frontier = [((i,), 1 << i, entries[i - 1]) for i in range(1, r + 1)]
+    r = len(chamber).bit_length() - 1
+    frontier = [((i,), 1 << i) for i in range(1, r + 1)]
     for _ in range(r - 1):
         extended = []
-        for prefix, mask, s in frontier:
+        for prefix, mask in frontier:
             last = prefix[-1]
-            candidates = range(last + 1, r + 1) if s >= 0 else range(1, last)
+            candidates = range(last + 1, r + 1) if chamber[mask >> 1] else range(1, last)
             for j in candidates:
                 if not (mask >> j) & 1:
-                    extended.append((prefix + (j,), mask | (1 << j), s + entries[j - 1]))
+                    extended.append((prefix + (j,), mask | (1 << j)))
         frontier = extended
-    return [prefix for prefix, _, _ in frontier]
+    orders = ((prefix, TERM_SIGN(Permutation(prefix))) for prefix, _ in frontier)
+    return tuple(_SHARED.setdefault(order, order) for order in orders)
+
+
+def _scaled(a: Sequence) -> List[int]:
+    """a times the lcm of its denominators: ints with the same sign on every subset sum."""
+    a = as_vector(a)
+    scale = lcm(*(x.denominator for x in a))
+    return [int(x * scale) for x in a]
 
 
 def special_permutations(a: Sequence) -> List[Permutation]:
@@ -77,9 +107,7 @@ def special_permutations(a: Sequence) -> List[Permutation]:
     Rational entries are scaled to integers by a positive common denominator,
     which leaves the sign of every partial sum, and so the orders, unchanged.
     """
-    a = as_vector(a)
-    scale = lcm(*(x.denominator for x in a))
-    return [Permutation(images) for images in _special_orders([int(x * scale) for x in a])]
+    return [Permutation(images) for images, _ in _special_orders(_chamber(_scaled(a)))]
 
 
 def _shifts(total: int, others: int) -> Tuple[Tuple[int, Tuple[int, ...]], ...]:
@@ -88,11 +116,6 @@ def _shifts(total: int, others: int) -> Tuple[Tuple[int, Tuple[int, ...]], ...]:
         return ((total, ()),)
     return tuple((m0, (-1 - m,) + rest) for m in range(total + 1)
                  for m0, rest in _shifts(total - m, others - 1))
-
-
-# One object per distinct tuple held by any plan: (i, m_0) pairs, exponent tuples
-# and source lists recur across plans, and the rank bounds their number.
-_SHARED: dict = {}
 
 
 @lru_cache(maxsize=4096)
@@ -228,6 +251,7 @@ def inversion_sign(w: Permutation) -> int:
 # plausible a priori (descents vs. inversions of w); the arbitration module
 # checks both against the brute-force count on exhaustive boxes and the
 # descent parity is the one that survives.  See kostant/arbitration.py.
+# `_special_orders` stores it with each order, once per chamber.
 TERM_SIGN: Callable[[Permutation], int] = descent_sign
 
 
@@ -246,9 +270,10 @@ def partition_total(a: Sequence, regularised: Sequence,
     selects the set of residue orders and must be regular for the
     descent/ascent tests to be unambiguous.
     """
-    sign = term_sign or TERM_SIGN
-    orders = special_permutations(regularised)
-    return _residue_sum([_exponents(as_vector(a))], [[(w.images, sign(w)) for w in orders]])[0]
+    orders = _special_orders(_chamber(_scaled(regularised)))
+    if term_sign is not None:
+        orders = [(images, term_sign(Permutation(images))) for images, _ in orders]
+    return _residue_sum([_exponents(as_vector(a))], [orders])[0]
 
 
 CacheInfo = namedtuple("CacheInfo", "hits misses maxsize currsize")
@@ -294,7 +319,7 @@ def partition_counts(vectors: Sequence[Sequence[int]]) -> List[int]:
         if min(accumulate(a)) >= 0:  # in the cone
             by_rank.setdefault(len(a), []).append(a)
     for batch in by_rank.values():
-        weighted = [[(w, TERM_SIGN(Permutation(w))) for w in _special_orders(a)] for a in batch]
+        weighted = [_special_orders(_chamber(a)) for a in batch]
         fresh.update(zip(batch, _residue_sum([_exponents(a) for a in batch], weighted)))
     memo.misses += len(fresh)
     memo.hits += len(keys) - len(fresh)

@@ -207,3 +207,49 @@ class TestRationalInputIsScaled:
         assert [w.images for w in valid_permutations(u, v)] == [
             w.images for w in brute_permutations(u, v)
         ]
+
+
+class TestCarriedInversions:
+    """Both searches count each prefix's inversions as they extend it; the
+    count a returned permutation carries must be the one its images give."""
+
+    @staticmethod
+    def _below(rng, top):
+        """top minus a few random positive roots: a target some terms dominate."""
+        v = list(top)
+        for _ in range(rng.randint(0, 3)):
+            i, j = sorted(rng.sample(range(len(v)), 2))
+            c = rng.randint(0, 3)
+            v[i] -= c
+            v[j] += c
+        return tuple(v)
+
+    @staticmethod
+    def _check(perms):
+        for w in perms:
+            assert w._inversions is not None, w  # carried, not yet counted
+            assert w.inversions == Permutation(w.images).inversions, w
+
+    @pytest.mark.parametrize("rank", [2, 3, 4, 5])
+    def test_permutations(self, rank):
+        rng = random.Random(300 + rank)
+        found = 0
+        for _ in range(40):
+            u = [rng.randint(-6, 6) for _ in range(rank + 1)]
+            got = valid_permutations(u, self._below(rng, rng.sample(u, len(u))))
+            self._check(got)
+            found += len(got)
+        assert found > 40 * rank
+
+    @pytest.mark.parametrize("rank", [2, 3, 4, 5])
+    def test_couples(self, rank):
+        rng = random.Random(400 + rank)
+        found = 0
+        for _ in range(20):
+            u1, u2 = ([rng.randint(-6, 6) for _ in range(rank + 1)] for _ in range(2))
+            top = [x + y for x, y in zip(sorted(u1, reverse=True), sorted(u2, reverse=True))]
+            got = valid_couples(u1, u2, self._below(rng, top))
+            for pair in got:
+                self._check(pair)
+            found += len(got)
+        assert found > 20 * rank

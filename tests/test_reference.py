@@ -4,9 +4,11 @@ import itertools
 import random
 import time
 from fractions import Fraction
+from functools import lru_cache
 
 import pytest
 
+from kostant import reference
 from kostant.formulas import multiplicity, tensor_product
 from kostant.reference import (
     OracleDomainError,
@@ -62,6 +64,24 @@ class TestDPTable:
         for _ in range(4):
             rng.shuffle(roots)
             assert _dp_counts(rank, bound, tuple(roots)) == base
+
+    def test_smaller_bounds_reuse_the_largest_table(self, monkeypatch):
+        rank, roots = 3, [(i, j) for i in range(1, 5) for j in range(i + 1, 5)]
+        queries = [(4, (4, 0, -1, -3)), (2, (2, -1, 1, -2)), (1, (1, 0, 0, -1)), (2, (2, 2, -2, -2))]
+        fresh = [_dp_counts(rank, b, roots).get(tuple(itertools.accumulate(a[:-1])), 0)
+                 for b, a in queries]
+        built = []
+
+        def counted(*args):
+            built.append(args[:2])
+            return _dp_counts(*args)
+
+        monkeypatch.setattr(reference, "_dp_counts", counted)
+        monkeypatch.setattr(reference, "_dp_table", lru_cache(maxsize=64)(_dp_table.__wrapped__))
+        monkeypatch.setattr(reference, "_dp_bound", {})
+        assert [kostant_partition_bruteforce(a) for _, a in queries] == fresh
+        assert built == [(rank, 4)]
+        assert all(fresh)
 
     def test_agrees_with_direct_enumeration(self):
         # independent check: count all multisets of positive roots directly

@@ -14,8 +14,10 @@ from kostant.permutations import Permutation
 from kostant.reference import kostant_partition_bruteforce
 from kostant.residues import (
     _binomial_rows,
+    _chamber,
     _partition_of,
     _plan,
+    _special_orders,
     binomial,
     descent_sign,
     inversion_sign,
@@ -53,6 +55,28 @@ class TestBinomial:
                 assert conv == (1 if degree == 0 else 0)
 
 
+def by_definition(a):
+    """Images of the special orders of a, by testing the prefix rule on all r! orders."""
+    r = len(a) - 1
+    out = []
+    for images in itertools.permutations(range(1, r + 1)):
+        ok = True
+        s = 0
+        for i in range(r - 1):
+            s += a[images[i] - 1]
+            if s >= 0:
+                if images[i] > images[i + 1]:
+                    ok = False
+                    break
+            else:
+                if images[i] < images[i + 1]:
+                    ok = False
+                    break
+        if ok:
+            out.append(images)
+    return out
+
+
 class TestSpecialPermutations:
     def test_mixed_sign_rank_two(self):
         ws = special_permutations((3, -1, -2))
@@ -79,26 +103,6 @@ class TestSpecialPermutations:
 
     def test_prefix_rule_brute_force(self):
         # the pruned search must match the definition applied to all r!
-        def by_definition(a):
-            r = len(a) - 1
-            out = []
-            for images in itertools.permutations(range(1, r + 1)):
-                ok = True
-                s = 0
-                for i in range(r - 1):
-                    s += a[images[i] - 1]
-                    if s >= 0:
-                        if images[i] > images[i + 1]:
-                            ok = False
-                            break
-                    else:
-                        if images[i] < images[i + 1]:
-                            ok = False
-                            break
-                if ok:
-                    out.append(images)
-            return out
-
         rng = random.Random(11)
         for _ in range(120):
             r = rng.randint(1, 4)
@@ -215,6 +219,9 @@ class TestKostantPartition:
             assert all(x == 0 for x in diffs), (direction, values)
 
 
+_BOXES = [(1, 4), (2, 4), (3, 4), (4, 4), (5, 2)]
+
+
 def _zero_sum_box(rank, bound):
     """Zero-sum vectors whose first `rank` entries lie in [-bound, bound]."""
     for head in itertools.product(range(-bound, bound + 1), repeat=rank):
@@ -227,9 +234,8 @@ class TestIntegerOrderSelection:
         # partial sum of i < r entries by i/(2r), which never changes the sign
         # test of an integer sum, so the orders agree on every integral
         # vector, regular or not.
-        boxes = [(1, 4), (2, 4), (3, 4), (4, 4), (5, 2)]
         regular = 0
-        for rank, bound in boxes:
+        for rank, bound in _BOXES:
             for a in _zero_sum_box(rank, bound):
                 assert special_permutations(a) == special_permutations(deform(a)), a
                 regular += is_regular(a)
@@ -386,3 +392,43 @@ class TestCompiledStep:
         small = [(a, v) for a, v in zip(stream, expected) if len(a) <= 5]
         assert len(small) > 50
         assert all(kostant_partition_bruteforce(a) == v for a, v in small)
+
+
+class TestChamberOrders:
+    def test_cached_orders_follow_the_definition_on_boxes(self):
+        # One search answers every vector of a chamber, so its entry must hold
+        # for all of them, whichever vector filled it.
+        vectors = [a for rank, bound in _BOXES for a in _zero_sum_box(rank, bound)]
+        expected = [by_definition(a) for a in vectors]
+        _special_orders.cache_clear()
+        for _ in ("cold", "warm"):
+            for a, images in zip(vectors, expected):
+                orders = _special_orders(_chamber(a))
+                assert [w for w, _ in orders] == images, a
+                assert [sign for _, sign in orders] == [descent_sign(Permutation(w)) for w in images], a
+        info = _special_orders.cache_info()
+        assert info.misses == info.currsize == 2 + 6 + 32 + 370 + 1592
+        assert info.hits == 2 * len(vectors) - info.misses
+
+    @pytest.mark.parametrize("r, args, chambers", [(4, 16, 2), (5, 66, 5), (6, 402, 19)])
+    def test_theta_arguments_fall_into_few_chambers(self, r, args, chambers):
+        _partition_of.cache_clear()
+        _special_orders.cache_clear()
+        assert multiplicity(theta(r), (0,) * (r + 1)) == 2 ** (r * (r - 1) // 2)
+        assert _partition_of.cache_info().misses == args
+        assert _special_orders.cache_info().misses == chambers
+
+    def test_chamber_cache_stays_bounded(self, monkeypatch):
+        stream = list(_cheap_stream(7, 400))
+        _partition_of.cache_clear()
+        expected = partition_counts(stream)
+        assert _special_orders.cache_info().maxsize == 4096
+        tiny = lru_cache(maxsize=8)(_special_orders.__wrapped__)
+        monkeypatch.setattr(residues, "_special_orders", tiny)
+        _partition_of.cache_clear()
+        got = []
+        for a in stream:
+            got += partition_counts([a])
+            assert tiny.cache_info().currsize <= 8
+        assert got == expected
+        assert tiny.cache_info().misses > 50
