@@ -19,10 +19,16 @@ e.g. "1,3,3,1".  A ray that meets the root lattice only at the multiples of
 a step s > 1 gets ";step=s" appended ("1,7/4,9/8,3/8;step=2"): the
 polynomial gives the values at N = s, 2s, ... and every other N has value 0.
 A ray whose counts fit no polynomial prints "fit-failed[<reason>]:<values>".
+An integer token is read as an int and a p/q token as a Fraction.  A number
+past Python's int-to-decimal digit limit (sys.get_int_max_str_digits()) is
+refused with malformed-rational; answers are printed in full at any length,
+without raising that limit.
 Exit codes: 0 success, 2 invalid input, 3 oracle disagreement,
-4 resource exhaustion, 5 an internal error in some batch record (the record
-gets an "internal-error" line and the stream goes on).  Every batch error
-carries "line", the 1-based number of its stdin line, blank lines included.
+4 resource exhaustion, 5 an internal error.  Single commands and batch
+records map failures to the same codes (_failure): a single command prints
+the error as one JSON line on stderr, a batch record gets it as its result
+line and the stream goes on.  Every batch error carries "line", the 1-based
+number of its stdin line, blank lines included.
 """
 
 from __future__ import annotations
@@ -32,6 +38,7 @@ import json
 import re
 import sys
 import time
+from decimal import Decimal
 from fractions import Fraction
 from typing import Callable, NamedTuple, Optional, Sequence, Tuple
 
@@ -51,7 +58,9 @@ from .reference import (
 from .residues import kostant_partition
 from .vectors import (
     DominantWeight,
+    Exact,
     ValidationError,
+    Vector,
     from_fundamental,
     to_fundamental,
 )
@@ -65,17 +74,24 @@ EXIT_INTERNAL = 5
 _RATIONAL = re.compile(r"^[+-]?\d+(/[1-9]\d*)?$")
 
 
-def _parse_rational(token: str) -> Fraction:
+def _parse_rational(token: str) -> Exact:
     token = token.strip()
     if not _RATIONAL.match(token):
         raise ValidationError(
             "malformed-rational",
             f"entry {token!r} is not an integer or p/q rational",
         )
-    return Fraction(token)
+    try:
+        return Fraction(token) if "/" in token else int(token)
+    except ValueError:  # the syntax is checked, so only the digit limit is left
+        raise ValidationError(
+            "malformed-rational",
+            f"an entry of {len(token)} characters has a number past the limit of "
+            f"{sys.get_int_max_str_digits()} digits",
+        ) from None
 
 
-def _parse_vector(text) -> Tuple[Fraction, ...]:
+def _parse_vector(text) -> Vector:
     if isinstance(text, (list, tuple)):
         items = text
     else:
@@ -91,7 +107,7 @@ def _field(record: dict, key: str):
     return record[key]
 
 
-def _weight_arg(record: dict, name: str, rank: int, basis: str) -> Tuple[Fraction, ...]:
+def _weight_arg(record: dict, name: str, rank: int, basis: str) -> Vector:
     entries = _parse_vector(_field(record, name))
     if basis == "fundamental":
         if len(entries) != rank:
@@ -166,7 +182,7 @@ def run_record(record: dict) -> dict:
             raise ValidationError("bad-basis", f"unknown target basis {to!r}")
         source = "canonical" if to == "fundamental" else "fundamental"
         entries = _weight_arg(record, "vector", rank, source)
-        out = ",".join(map(str, to_fundamental(entries) if to == "fundamental" else entries))
+        out = ",".join(map(_text, to_fundamental(entries) if to == "fundamental" else entries))
     else:
         weights = []
         for key, kind in query.weights:
@@ -188,14 +204,32 @@ def _oracle_verdict(oracle, weights, value) -> Optional[str]:
     return "agree" if expected == value else "disagree"
 
 
+def _text(x) -> str:
+    """An int or a Fraction in full.  Decimal prints any number of digits, where
+    str stops at the process-wide limit on int-to-decimal conversion."""
+    if x.denominator == 1:
+        return str(Decimal(x.numerator))
+    return f"{Decimal(x.numerator)}/{Decimal(x.denominator)}"
+
+
 def _render(value) -> str:
     if isinstance(value, int):
-        return str(value)
+        return _text(value)
     if isinstance(value, RayFitFailure):
-        values = ",".join(str(v) for v in value.values)
+        values = ",".join(map(_text, value.values))
         return f"fit-failed[{value.reason}]:{values}"
-    text = ",".join(map(str, value.coefficients))
+    text = ",".join(map(_text, value.coefficients))
     return text if value.step == 1 else f"{text};step={value.step}"
+
+
+def _failure(exc: Exception) -> Tuple[dict, int]:
+    """The error object and exit code of an exception raised by a query."""
+    if isinstance(exc, ValidationError):
+        return {"error": exc.code, "message": str(exc)}, EXIT_INVALID
+    if isinstance(exc, (MemoryError, RecursionError, OSError)):
+        return {"error": "resource-exhausted", "message": str(exc)}, EXIT_RESOURCE
+    # a fault inside the library: reported, never a traceback
+    return {"error": "internal-error", "message": f"{type(exc).__name__}: {exc}"}, EXIT_INTERNAL
 
 
 def _single(args: argparse.Namespace) -> int:
@@ -229,13 +263,8 @@ def _batch() -> int:
             continue
         try:
             result = run_record(record)
-        except ValidationError as exc:
-            result, code = {"error": exc.code, "message": str(exc)}, EXIT_INVALID
-        except (MemoryError, RecursionError) as exc:
-            result, code = {"error": "resource-exhausted", "message": str(exc)}, EXIT_RESOURCE
-        except Exception as exc:  # a fault inside the library must not end the stream
-            message = f"{type(exc).__name__}: {exc}"
-            result, code = {"error": "internal-error", "message": message}, EXIT_INTERNAL
+        except Exception as exc:  # no record ends the stream
+            result, code = _failure(exc)
         else:
             code = EXIT_ORACLE_MISMATCH if result.get("oracle") == "disagree" else EXIT_OK
         if "error" in result:
@@ -280,12 +309,10 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
     args = build_parser().parse_args(argv)
     try:
         return _batch() if args.command == "batch" else _single(args)
-    except ValidationError as exc:
-        print(json.dumps({"error": exc.code, "message": str(exc)}), file=sys.stderr)
-        return EXIT_INVALID
-    except (MemoryError, RecursionError, OSError) as exc:
-        print(json.dumps({"error": "resource-exhausted", "message": str(exc)}), file=sys.stderr)
-        return EXIT_RESOURCE
+    except Exception as exc:
+        error, code = _failure(exc)
+        print(json.dumps(error), file=sys.stderr)
+        return code
 
 
 def console_main() -> None:

@@ -34,10 +34,10 @@ from .parallel import map_counts
 from .permsearch import valid_couples, valid_permutations
 from .permutations import Permutation
 from .residues import partition_counts
-from .vectors import weight_pair, weight_triple
+from .vectors import Exact, _exact, weight_pair, weight_triple
 
 
-def _lift(weight: Sequence[Fraction], shift: Fraction, rho_multiple: int) -> Tuple[int, ...]:
+def _lift(weight: Sequence[Exact], shift: Exact, rho_multiple: int) -> Tuple[int, ...]:
     """weight - shift*(1, ..., 1) + rho_multiple*(r, r-1, ..., 0), as ints."""
     r = len(weight) - 1
     return tuple(int(x - shift) + rho_multiple * (r - i) for i, x in enumerate(weight))
@@ -118,7 +118,7 @@ class RayPolynomial:
     counts there; every other N has count 0.
     """
 
-    coefficients: Tuple[Fraction, ...]
+    coefficients: Tuple[Exact, ...]
     sample_points: Tuple[int, ...]
     verified_points: Tuple[int, ...]
     step: int = 1
@@ -130,12 +130,11 @@ class RayPolynomial:
             deg -= 1
         return deg
 
-    def evaluate(self, n) -> Fraction:
-        n = Fraction(n)
-        acc = Fraction(0)
+    def evaluate(self, n) -> Exact:
+        n, acc = _exact(n), 0
         for c in reversed(self.coefficients):
             acc = acc * n + c
-        return acc
+        return _exact(acc)
 
 
 @dataclass(frozen=True)
@@ -150,25 +149,25 @@ class RayFitFailure:
 _CHAMBER_CROSSING = "ray crosses chamber structure inconsistently"
 
 
-def _interpolate(xs: Sequence[int], ys: Sequence[int]) -> Tuple[Fraction, ...]:
+def _interpolate(xs: Sequence[int], ys: Sequence[int]) -> Tuple[Exact, ...]:
     """Newton interpolation through (xs[i], ys[i]), exact, monomial coefficients."""
     n = len(xs)
-    divided = [Fraction(y) for y in ys]
+    divided = list(ys)
     for level in range(1, n):
         for i in range(n - 1, level - 1, -1):
-            divided[i] = (divided[i] - divided[i - 1]) / Fraction(xs[i] - xs[i - level])
-    coeffs = [Fraction(0)] * n
-    basis = [Fraction(1)]  # expands prod (x - xs[k]) incrementally
+            divided[i] = Fraction(divided[i] - divided[i - 1], xs[i] - xs[i - level])
+    coeffs = [0] * n
+    basis = [1]  # expands prod (x - xs[k]) incrementally, in ints
     coeffs[0] = divided[0]
     for k in range(1, n):
-        new_basis = [Fraction(0)] * (len(basis) + 1)
+        new_basis = [0] * (len(basis) + 1)
         for i, b in enumerate(basis):
             new_basis[i] -= b * xs[k - 1]
             new_basis[i + 1] += b
         basis = new_basis
         for i, b in enumerate(basis):
             coeffs[i] += divided[k] * b
-    return tuple(coeffs)
+    return tuple(map(_exact, coeffs))
 
 
 def _ray_fit(counter, degree: int, step: int) -> Union[RayPolynomial, RayFitFailure]:

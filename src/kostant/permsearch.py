@@ -18,19 +18,11 @@ result recounts it for its signature.
 from __future__ import annotations
 
 from itertools import accumulate
-from math import lcm
 from operator import itemgetter
 from typing import List, Sequence, Tuple
 
 from .permutations import Permutation
-from .vectors import ValidationError, as_vector
-
-
-def _integral(*vectors: Sequence) -> List[List[int]]:
-    """The vectors as ints, all multiplied by the lcm of their denominators."""
-    vectors = [as_vector(v) for v in vectors]
-    scale = lcm(*(x.denominator for v in vectors for x in v))
-    return [[x.numerator * (scale // x.denominator) for x in v] for v in vectors]
+from .vectors import ValidationError, scaled_ints
 
 
 def valid_permutations(u: Sequence, v: Sequence) -> List[Permutation]:
@@ -40,7 +32,7 @@ def valid_permutations(u: Sequence, v: Sequence) -> List[Permutation]:
     strictly decreasing the returned permutations give pairwise distinct
     rearrangements, so no deduplication is performed.
     """
-    u, v = _integral(u, v)
+    u, v = scaled_ints(u, v)
     n = len(u)
     if len(v) != n:
         raise ValidationError("bad-length", "u and v must have the same length")
@@ -75,7 +67,7 @@ def valid_couples(u1: Sequence, u2: Sequence, v: Sequence) -> List[Tuple[Permuta
     screened against the best completion by the second, which prunes without
     losing couples.
     """
-    u1, u2, v = _integral(u1, u2, v)
+    u1, u2, v = scaled_ints(u1, u2, v)
     n = len(v)
     if len(u1) != n or len(u2) != n:
         raise ValidationError("bad-length", "u1, u2 and v must have the same length")

@@ -73,15 +73,18 @@ def _dp_counts(rank: int, bound: int, roots: Sequence[Tuple[int, int]]) -> Dict[
     return {s: c for s, c in counts.items() if c}
 
 
-@lru_cache(maxsize=64)
+# The largest table built so far per rank, as (bound, table).  Adding a root
+# only raises prefix sums, so it already holds every count a smaller bound's
+# table would, and a larger bound replaces it.
+_dp_tables: Dict[int, Tuple[int, Dict[Tuple[int, ...], int]]] = {}
+
+
 def _dp_table(rank: int, bound: int) -> Dict[Tuple[int, ...], int]:
-    return _dp_counts(rank, bound, [(i, j) for i in range(1, rank + 2) for j in range(i + 1, rank + 2)])
-
-
-# Largest entry bound whose table has been built, per rank.  Adding a root
-# only raises prefix sums, so that table already holds every count a smaller
-# bound's table would.
-_dp_bound: Dict[int, int] = {}
+    built = _dp_tables.get(rank)
+    if built is None or built[0] < bound:
+        roots = [(i, j) for i in range(1, rank + 2) for j in range(i + 1, rank + 2)]
+        built = _dp_tables[rank] = (bound, _dp_counts(rank, bound, roots))
+    return built[1]
 
 
 def kostant_partition_bruteforce(a: Sequence) -> int:
@@ -90,10 +93,7 @@ def kostant_partition_bruteforce(a: Sequence) -> int:
     rank, bound = len(v) - 1, max(1, max(map(abs, v)))
     if bound > DP_ENTRY_BOUND:
         raise OracleDomainError(f"entries exceed the oracle bound {DP_ENTRY_BOUND}")
-    bound = max(bound, _dp_bound.get(rank, 0))
-    table = _dp_table(rank, bound)
-    _dp_bound[rank] = bound
-    return table.get(tuple(accumulate(v[:-1])), 0)
+    return _dp_table(rank, bound).get(tuple(accumulate(v[:-1])), 0)
 
 
 _FREUDENTHAL_RANK_LIMIT = 4
@@ -110,15 +110,8 @@ def _freudenthal_table(lam0: Tuple[Fraction, ...]) -> Dict[Tuple[Fraction, ...],
     n = len(lam0)
     r = n - 1
     simple_count = r
-    prefix = []
-    total = Fraction(0)
-    for x in lam0[:-1]:
-        total += x
-        prefix.append(total)
-    caps = [int(p) for p in prefix]  # c_k <= prefix sum of lam0 (floor)
-    size = 1
-    for cap in caps:
-        size *= cap + 1
+    caps = [int(p) for p in accumulate(lam0[:-1])]  # c_k <= prefix sum of lam0 (floor)
+    size = prod(cap + 1 for cap in caps)
     if size > _FREUDENTHAL_STATE_LIMIT:
         raise OracleDomainError(f"weight lattice box would need {size} points")
 
@@ -241,10 +234,9 @@ def tensor_bruteforce_lr(lam, mu, nu) -> int:
     mu_p = [int(x - mu.canonical[-1]) for x in mu.canonical]
     nu_p = [int(x - nu.canonical[-1]) for x in nu.canonical]
 
-    shift = Fraction(sum(lam_p) + sum(mu_p) - sum(nu_p), n)
-    if shift.denominator != 1:
+    shift, rest = divmod(sum(lam_p) + sum(mu_p) - sum(nu_p), n)
+    if rest:
         return 0  # nu is not in the root-lattice translate of lambda + mu
-    shift = int(shift)
     pad = max(0, -shift)
     outer = [x + shift + pad for x in nu_p]
     inner = [x + pad for x in lam_p]

@@ -24,12 +24,12 @@ from __future__ import annotations
 from collections import OrderedDict, namedtuple
 from functools import lru_cache
 from itertools import accumulate
-from math import comb, lcm
+from math import comb
 from operator import add, mul
 from typing import Callable, List, Sequence, Tuple
 
 from .permutations import Permutation
-from .vectors import as_vector, root_vector
+from .vectors import as_vector, root_vector, scaled_ints
 
 
 def binomial(e: int, m: int) -> int:
@@ -94,20 +94,13 @@ def _special_orders(chamber: bytes) -> Tuple[Tuple[Tuple[int, ...], int], ...]:
     return tuple(_SHARED.setdefault(order, order) for order in orders)
 
 
-def _scaled(a: Sequence) -> List[int]:
-    """a times the lcm of its denominators: ints with the same sign on every subset sum."""
-    a = as_vector(a)
-    scale = lcm(*(x.denominator for x in a))
-    return [int(x * scale) for x in a]
-
-
 def special_permutations(a: Sequence) -> List[Permutation]:
     """The variable orders that carry the residue formula for the vector a.
 
     Rational entries are scaled to integers by a positive common denominator,
     which leaves the sign of every partial sum, and so the orders, unchanged.
     """
-    return [Permutation(images) for images, _ in _special_orders(_chamber(_scaled(a)))]
+    return [Permutation(images) for images, _ in _special_orders(_chamber(*scaled_ints(a)))]
 
 
 def _shifts(total: int, others: int) -> Tuple[Tuple[int, Tuple[int, ...]], ...]:
@@ -270,7 +263,7 @@ def partition_total(a: Sequence, regularised: Sequence,
     selects the set of residue orders and must be regular for the
     descent/ascent tests to be unambiguous.
     """
-    orders = _special_orders(_chamber(_scaled(regularised)))
+    orders = _special_orders(_chamber(*scaled_ints(regularised)))
     if term_sign is not None:
         orders = [(images, term_sign(Permutation(images))) for images, _ in orders]
     return _residue_sum([_exponents(as_vector(a))], [orders])[0]

@@ -1,10 +1,14 @@
 """Exact rational linear algebra for the root system A_r.
 
 Vectors live in R^{r+1}, written in the canonical basis, and every entry is
-an exact rational number.  The positive roots are e_i - e_j for i < j.  The
-conventions fixed here (fundamental coordinates, the Weyl vector rho, the
-highest root multiples theta, cone membership, regularity, deformation) are
-shared by every other module in the package, and so are the input checks:
+an exact rational number in one format: an int where the entry is integral
+and a Fraction only where it is not.  _exact holds that rule and is the one
+place that refuses floats; every vector this module returns follows it, and
+scaled_ints turns rational vectors into ints for the integer engine.  The
+positive roots are e_i - e_j for i < j.  The conventions fixed here
+(fundamental coordinates, the Weyl vector rho, the highest root multiples
+theta, cone membership, regularity, deformation) are shared by every other
+module in the package, and so are the input checks:
 root_vector for a partition argument, dominant, weight_pair and weight_triple
 for the weights of a multiplicity or a tensor coefficient.  The engine and
 the oracles both call them, so a bad input gets one error code everywhere.
@@ -15,10 +19,11 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 from itertools import accumulate, combinations
-from operator import index
-from typing import Iterable, Sequence, Tuple
+from math import lcm
+from typing import Iterable, List, Sequence, Tuple, Union
 
-Vector = Tuple[Fraction, ...]
+Exact = Union[int, Fraction]
+Vector = Tuple[Exact, ...]
 
 # Regularity is decided by exhaustive subset enumeration, which is exact but
 # exponential in the rank; practical ranks here are single digits.
@@ -33,19 +38,38 @@ class ValidationError(ValueError):
         self.code = code
 
 
+def _exact(x) -> Exact:
+    """x as an int if it is integral, else as a Fraction; floats are refused outright."""
+    if type(x) is int:
+        return x
+    if isinstance(x, float):
+        raise ValidationError(
+            "inexact-entry",
+            f"floating-point entry {x!r}; give integers or p/q rationals",
+        )
+    if type(x) is not Fraction:  # subclasses too, so the result is exactly int or Fraction
+        x = Fraction(x)
+    return x.numerator if x.denominator == 1 else x
+
+
 def as_vector(entries: Iterable) -> Vector:
-    """Coerce to a tuple of exact rationals; floats are refused outright."""
-    out = []
-    for x in entries:
-        if isinstance(x, float):
-            raise ValidationError(
-                "inexact-entry",
-                f"floating-point entry {x!r}; give integers or p/q rationals",
-            )
-        out.append(x if isinstance(x, Fraction) else Fraction(x))
+    """The entries as a tuple of r+1 >= 2 exact numbers: ints where integral,
+    Fractions otherwise (Fraction(4, 2) becomes 2).  Floats are refused."""
+    out = [x if type(x) is int else _exact(x) for x in entries]  # ints skip the call
     if len(out) < 2:
         raise ValidationError("bad-length", "a rank-r vector needs r+1 >= 2 entries")
     return tuple(out)
+
+
+def scaled_ints(*vectors: Sequence) -> List[Tuple[int, ...]]:
+    """The vectors as ints, all multiplied by the lcm of their denominators.
+
+    A positive common factor keeps the sign of every comparison between
+    partial sums and subset sums, which is all the searches read.
+    """
+    vectors = [as_vector(v) for v in vectors]
+    scale = lcm(*(x.denominator for v in vectors for x in v))
+    return [tuple(x.numerator * (scale // x.denominator) for x in v) for v in vectors]
 
 
 def rank_of(v: Sequence) -> int:
@@ -53,75 +77,54 @@ def rank_of(v: Sequence) -> int:
 
 
 def vec_add(u: Vector, v: Vector) -> Vector:
-    return tuple(a + b for a, b in zip(u, v, strict=True))
+    return tuple(_exact(a + b) for a, b in zip(u, v, strict=True))
 
 
 def vec_sub(u: Vector, v: Vector) -> Vector:
-    return tuple(a - b for a, b in zip(u, v, strict=True))
+    return tuple(_exact(a - b) for a, b in zip(u, v, strict=True))
 
 
 def vec_scale(v: Vector, c) -> Vector:
-    c = Fraction(c)
-    return tuple(c * a for a in v)
+    c = _exact(c)
+    return tuple(_exact(c * a) for a in v)
 
 
 def zero_mean(v: Vector) -> Vector:
     """Translate by a multiple of (1, ..., 1) so the entries sum to zero."""
     shift = Fraction(sum(v), len(v))
-    return tuple(a - shift for a in v)
+    return as_vector(a - shift for a in v)
 
 
-def is_integral(v: Sequence[Fraction]) -> bool:
-    return all(Fraction(a).denominator == 1 for a in v)
+def is_integral(v: Sequence[Exact]) -> bool:
+    return all(a.denominator == 1 for a in v)
 
 
-def int_vector(v: Sequence[Fraction]) -> Tuple[int, ...]:
-    """Exact conversion to integers; raises if any entry is fractional."""
-    out = []
-    for a in v:
-        a = Fraction(a)
-        if a.denominator != 1:
-            raise ValidationError("non-integral", f"entry {a} is not an integer")
-        out.append(int(a))
-    return tuple(out)
-
-
-def to_fundamental(v: Sequence) -> Tuple[Fraction, ...]:
+def to_fundamental(v: Sequence) -> Tuple[Exact, ...]:
     """Consecutive differences (v_1 - v_2, ..., v_r - v_{r+1})."""
     v = as_vector(v)
-    return tuple(v[i] - v[i + 1] for i in range(len(v) - 1))
+    return tuple(_exact(v[i] - v[i + 1]) for i in range(len(v) - 1))
 
 
 def from_fundamental(coords: Sequence) -> Vector:
     """The unique zero-sum vector with the given consecutive differences."""
-    coords = [Fraction(c) if not isinstance(c, float) else c for c in coords]
-    if any(isinstance(c, float) for c in coords):
-        raise ValidationError("inexact-entry", "floating-point fundamental coordinate")
+    coords = [_exact(c) for c in coords]
     if not coords:
         raise ValidationError("bad-length", "need at least one fundamental coordinate")
-    suffix = [Fraction(0)]
-    for c in reversed(coords):
-        suffix.append(suffix[-1] + c)
-    v = tuple(reversed(suffix))
-    return zero_mean(v)
+    suffix_sums = accumulate(reversed(coords), initial=0)
+    return zero_mean(tuple(reversed(list(suffix_sums))))
 
 
 def rho(r: int) -> Vector:
     """Half the sum of the positive roots: (r/2, r/2 - 1, ..., -r/2)."""
     if r < 1:
         raise ValidationError("bad-rank", "rank must be >= 1")
-    return tuple(Fraction(r, 2) - i for i in range(r + 1))
+    return as_vector(Fraction(r, 2) - i for i in range(r + 1))
 
 
 def positive_roots(r: int) -> list[Vector]:
     """All e_i - e_j with 1 <= i < j <= r+1, in lexicographic order."""
-    roots = []
-    for i in range(r + 1):
-        for j in range(i + 1, r + 1):
-            root = [Fraction(0)] * (r + 1)
-            root[i], root[j] = Fraction(1), Fraction(-1)
-            roots.append(tuple(root))
-    return roots
+    return [tuple((k == i) - (k == j) for k in range(r + 1))
+            for i, j in combinations(range(r + 1), 2)]
 
 
 def in_positive_cone(a: Sequence) -> bool:
@@ -152,13 +155,9 @@ def is_regular(a: Sequence) -> bool:
 
 def root_vector(a: Sequence) -> Tuple[int, ...]:
     """A partition argument as ints: an integral zero-sum vector of r+1 >= 2 entries."""
-    a = tuple(a)
-    try:
-        v = tuple(map(index, a))
-    except TypeError:  # Fractions or floats: integral Fractions pass, the rest are refused
-        v = int_vector(as_vector(a))
-    if len(v) < 2:
-        raise ValidationError("bad-length", "a rank-r vector needs r+1 >= 2 entries")
+    v = as_vector(a)
+    if Fraction in map(type, v):  # as_vector keeps a Fraction only where it is not integral
+        raise ValidationError("non-integral", "partition counts need integer entries")
     if sum(v) != 0:
         raise ValidationError("not-zero-sum", "partition counts need a zero-sum vector")
     return v
@@ -186,8 +185,7 @@ def theta(r: int) -> "DominantWeight":
     """
     if r < 1:
         raise ValidationError("bad-rank", "rank must be >= 1")
-    entries = [Fraction(r - i) for i in range(r)] + [Fraction(-r * (r + 1), 2)]
-    return DominantWeight(tuple(entries))
+    return DominantWeight(tuple(range(r, 0, -1)) + (-r * (r + 1) // 2,))
 
 
 @dataclass(frozen=True)
@@ -202,28 +200,22 @@ class DominantWeight:
         for i in range(len(v) - 1):
             d = v[i] - v[i + 1]
             if d.denominator != 1:
-                raise ValidationError(
-                    "non-integral-weight",
-                    f"consecutive difference {d} is not an integer",
-                )
+                raise ValidationError("non-integral-weight", f"consecutive difference {i + 1} is not an integer")
             if d < 0:
-                raise ValidationError(
-                    "not-dominant",
-                    f"consecutive difference {d} is negative at position {i + 1}",
-                )
+                raise ValidationError("not-dominant", f"consecutive difference {i + 1} is negative")
 
     @property
     def rank(self) -> int:
         return len(self.canonical) - 1
 
-    def fundamental(self) -> Tuple[Fraction, ...]:
+    def fundamental(self) -> Tuple[Exact, ...]:
         return to_fundamental(self.canonical)
 
     def scaled(self, n: int) -> "DominantWeight":
         return DominantWeight(vec_scale(self.canonical, n))
 
 
-def prefix_sums(v: Sequence[Fraction]) -> Tuple[Fraction, ...]:
+def prefix_sums(v: Sequence[Exact]) -> Tuple[Exact, ...]:
     return tuple(accumulate(v))
 
 

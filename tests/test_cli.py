@@ -5,6 +5,7 @@ import json
 import pathlib
 import shlex
 import sys
+from fractions import Fraction
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -202,6 +203,16 @@ class TestValidation:
             capsys, "convert", "--rank", "1", "--to", "canonical", "1/0"
         )
         assert code == EXIT_INVALID
+
+    def test_library_fault_is_an_internal_error(self, capsys, monkeypatch):
+        def broken(*args):
+            raise RuntimeError("boom")
+
+        monkeypatch.setattr("kostant.cli.multiplicity", broken)
+        code, out, err = run_cli(capsys, "mult", "--rank", "2", "--lambda", "1,0,-1",
+                                 "--mu", "0,0,0")
+        assert (code, out) == (EXIT_INTERNAL, "")
+        assert json.loads(err) == {"error": "internal-error", "message": "RuntimeError: boom"}
 
 
 class TestBatch:
@@ -418,7 +429,77 @@ class TestBatch:
         assert "Traceback" not in err
 
 
+_DIGIT_LIMIT = getattr(sys, "get_int_max_str_digits", lambda: 0)()
+_needs_digit_limit = pytest.mark.skipif(not _DIGIT_LIMIT,
+                                        reason="this Python converts integers of any length")
+
+
+class TestDigitLimit:
+    @_needs_digit_limit
+    @pytest.mark.parametrize("entry", ["9" * 5000, "1/" + "7" * 5000])
+    def test_oversized_entry_is_a_typed_error(self, capsys, monkeypatch, entry):
+        import io
+
+        code, out, err = run_cli(capsys, "kostant", "--rank", "1", f"{entry},0")
+        error = json.loads(err)
+        assert (code, out, error["error"]) == (EXIT_INVALID, "", "malformed-rational")
+        assert str(_DIGIT_LIMIT) in error["message"]
+        lines = [json.dumps({"command": "kostant", "rank": 1, "vector": f"{entry},0"}),
+                 json.dumps({"command": "kostant", "rank": 1, "vector": "1,-1"})]
+        monkeypatch.setattr("sys.stdin", io.StringIO("\n".join(lines)))
+        code, out, err = run_cli(capsys, "batch")
+        rows = [json.loads(line) for line in out.strip().splitlines()]
+        assert (rows[0]["error"], rows[0]["line"], rows[1]["value"]) == ("malformed-rational", 1, "1")
+        assert str(_DIGIT_LIMIT) in rows[0]["message"]
+        assert code == EXIT_INVALID
+        assert "Traceback" not in err
+
+    def test_long_answers_print_in_full(self, capsys, monkeypatch):
+        import io
+        from decimal import Decimal
+
+        from kostant import kostant_partition
+
+        n = str(10 ** 1500)
+        vector = f"{n},{n},-{n},-{n}"
+        expected = Decimal(kostant_partition((10 ** 1500,) * 2 + (-10 ** 1500,) * 2))
+        code, out, _ = run_cli(capsys, "kostant", "--rank", "3", "--", vector)
+        assert code == EXIT_OK
+        assert len(out.strip()) > 4300 and Decimal(out.strip()) == expected
+        monkeypatch.setattr("sys.stdin", io.StringIO(
+            json.dumps({"command": "kostant", "rank": 3, "vector": vector})))
+        code, out, _ = run_cli(capsys, "batch")
+        assert code == EXIT_OK and Decimal(json.loads(out)["value"]) == expected
+
+    def test_long_fractions_print_in_full(self):
+        from decimal import Decimal
+
+        from kostant.cli import _render
+        from kostant.formulas import RayPolynomial
+
+        p, q = 10 ** 5000 + 1, 3 ** 10000
+        text = _render(RayPolynomial((Fraction(p, q), 2), (1, 2), (3, 4)))
+        head, tail = text.split(",")
+        assert tail == "2" and [Decimal(x) for x in head.split("/")] == [Decimal(p), Decimal(q)]
+
+
 class TestRunRecord:
+    def test_kostant_record_reaches_partition_counts_as_ints(self, monkeypatch):
+        import kostant.residues
+
+        seen = []
+        counts = kostant.residues.partition_counts
+
+        def recording(vectors):
+            seen.extend(vectors)
+            return counts(vectors)
+
+        monkeypatch.setattr(kostant.residues, "partition_counts", recording)
+        assert run_record({"command": "kostant", "rank": 3, "vector": "2,1,-1,-2"})["value"] == "13"
+        assert run_record({"command": "kostant", "rank": 2, "vector": [1, 0, -1]})["value"] == "2"
+        assert len(seen) == 2
+        assert all(type(x) is int for v in seen for x in v)
+
     def test_unknown_command(self):
         from kostant.vectors import ValidationError
 

@@ -284,6 +284,9 @@ class TestTensorPolynomial:
         assert fit.sample_points == (2, 4, 6, 8)
         assert fit.verified_points == (10, 12)
         assert fit.coefficients == (1, Fraction(7, 4), Fraction(9, 8), Fraction(3, 8))
+        # ints where integral, Fractions otherwise, in the fit and its values alike
+        assert [type(c) for c in fit.coefficients] == [int, Fraction, Fraction, Fraction]
+        assert type(fit.evaluate(2)) is int and fit.evaluate(1) == Fraction(17, 4)
         for n in (2, 4):
             scaled = w.scaled(n)
             assert fit.evaluate(n) == tensor_bruteforce_lr(scaled, scaled, scaled)

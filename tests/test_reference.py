@@ -4,7 +4,6 @@ import itertools
 import random
 import time
 from fractions import Fraction
-from functools import lru_cache
 
 import pytest
 
@@ -13,7 +12,6 @@ from kostant.formulas import multiplicity, tensor_product
 from kostant.reference import (
     OracleDomainError,
     _dp_counts,
-    _dp_table,
     freudenthal_multiplicities,
     kostant_partition_bruteforce,
     multiplicity_freudenthal,
@@ -56,11 +54,11 @@ class TestDPTable:
     def test_root_order_independence(self):
         # coin-change pass order must not matter
         rank, bound = 3, 4
-        base = _dp_table(rank, bound)
         rng = random.Random(3)
         roots = [
             (i, j) for i in range(1, rank + 1) for j in range(i + 1, rank + 2)
         ]
+        base = _dp_counts(rank, bound, tuple(roots))
         for _ in range(4):
             rng.shuffle(roots)
             assert _dp_counts(rank, bound, tuple(roots)) == base
@@ -77,10 +75,10 @@ class TestDPTable:
             return _dp_counts(*args)
 
         monkeypatch.setattr(reference, "_dp_counts", counted)
-        monkeypatch.setattr(reference, "_dp_table", lru_cache(maxsize=64)(_dp_table.__wrapped__))
-        monkeypatch.setattr(reference, "_dp_bound", {})
+        monkeypatch.setattr(reference, "_dp_tables", {})
         assert [kostant_partition_bruteforce(a) for _, a in queries] == fresh
         assert built == [(rank, 4)]
+        assert [(r, bound) for r, (bound, _) in reference._dp_tables.items()] == [(rank, 4)]
         assert all(fresh)
 
     def test_agrees_with_direct_enumeration(self):

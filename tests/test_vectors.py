@@ -16,6 +16,8 @@ from kostant.vectors import (
     positive_roots,
     prefix_sums,
     rho,
+    root_vector,
+    scaled_ints,
     theta,
     to_fundamental,
     vec_add,
@@ -43,6 +45,45 @@ class TestAsVector:
     def test_rejects_short_vectors(self):
         with pytest.raises(ValidationError):
             as_vector([1])
+
+    def test_ints_where_integral_fractions_otherwise(self):
+        v = as_vector([3, F(4, 2), F(-6, 3), F(1, 2), "5/3", "-7"])
+        assert v == (3, 2, -2, F(1, 2), F(5, 3), -7)
+        assert [type(x) for x in v] == [int, int, int, F, F, int]
+
+    def test_returned_vectors_follow_the_format(self):
+        # integral results of rational arithmetic come back as ints
+        half = F(1, 2)
+        results = [
+            vec_add((half, half), (half, -half)), vec_sub((half, 0), (half, 0)),
+            vec_scale((half, -half), 2), zero_mean((F(5, 2), F(1, 2))),
+            to_fundamental((F(3, 2), F(1, 2))), from_fundamental((2, 2)), rho(2),
+            theta(3).canonical, positive_roots(2)[0],
+        ]
+        for v in results:
+            assert all(type(x) is int for x in v), v
+        assert from_fundamental((1,)) == (half, -half)
+
+    def test_root_vector_is_ints(self):
+        assert root_vector((F(4, 2), 0, "-2")) == (2, 0, -2)
+        assert [type(x) for x in root_vector((F(4, 2), 0, -2))] == [int, int, int]
+        with pytest.raises(ValidationError) as err:
+            root_vector((F(1, 2), F(-1, 2)))
+        assert err.value.code == "non-integral"
+
+    def test_floats_are_refused_everywhere(self):
+        for call in (lambda: from_fundamental((1.0, 2)), lambda: vec_scale((1, -1), 0.5),
+                     lambda: root_vector((1.0, -1))):
+            with pytest.raises(ValidationError) as err:
+                call()
+            assert err.value.code == "inexact-entry"
+
+
+class TestScaledInts:
+    def test_common_denominator(self):
+        assert scaled_ints((F(1, 2), F(-1, 2)), (F(1, 3), 0, F(-1, 3))) == [(3, -3), (2, 0, -2)]
+        assert scaled_ints((2, -2)) == [(2, -2)]
+        assert all(type(x) is int for v in scaled_ints((F(1, 6), F(-1, 6))) for x in v)
 
 
 class TestBases:
