@@ -117,7 +117,7 @@ def _weight_arg(record: dict, name: str, rank: int, basis: str) -> Vector:
         return from_fundamental(entries)
     if len(entries) != rank + 1:
         raise ValidationError(
-            "bad-length", f"{name}: rank {rank} takes {rank + 1} canonical entries"
+            "bad-length", f"{name}: rank {rank} takes one more canonical entry than the rank"
         )
     return entries
 

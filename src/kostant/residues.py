@@ -14,9 +14,11 @@ one variable at a time, and each step needs only the coefficients below the
 pole order of the active variable, so the cost never depends on the sizes of
 the entries of a.  Only the exponents differ between vectors of one rank, so
 a batch of them is walked together: one residue step per distinct order
-prefix, with a row of integer coefficients per exponent tuple.  Each step is
-a plan, cached per process, of which exponent tuples arise and from which
-(row, m_0) pairs, and an apply that does only integer multiply-adds.
+prefix, with a row of integer coefficients per exponent tuple, or one int
+per exponent tuple once a single column is left, so a single-vector walk
+costs what one column of a batched walk costs.  Each step is a plan, cached
+per process, of which exponent tuples arise and from which (entry, m_0)
+pairs, and an apply that does only integer multiply-adds.
 """
 
 from __future__ import annotations
@@ -29,7 +31,7 @@ from operator import add, mul
 from typing import Callable, List, Sequence, Tuple
 
 from .permutations import Permutation
-from .vectors import as_vector, root_vector, scaled_ints
+from .vectors import int_entries, root_vector, scaled_ints
 
 
 def binomial(e: int, m: int) -> int:
@@ -130,35 +132,50 @@ def _plan(keys: Tuple[Tuple[int, ...], ...], tpos: int):
             tuple(share(src, src) for src in map(tuple, sources.values())))
 
 
+def _binomials(sign: int, e: int, top: int) -> List[int]:
+    """sign * C(e, m) for m < top: C(e, m-1) (e-m+1) / m, exact for any e."""
+    b = [sign]
+    for m in range(1, top):
+        b.append(b[-1] * (e - m + 1) // m)
+    return b
+
+
 def _binomial_rows(sign: int, e_t: Sequence[int], top: int) -> List[List[int]]:
-    """Row m < top is sign * C(e, m) per e in e_t: C(e, m-1) (e-m+1) / m, exact for any e."""
+    """Row m < top is sign * C(e, m) per e in e_t, by the recurrence of `_binomials`."""
     rows = [[sign] * len(e_t)]
     for m in range(1, top):
         rows.append([b * (e - m + 1) // m for b, e in zip(rows[-1], e_t)])
     return rows
 
 
-def _residue_step(keys: Tuple[Tuple[int, ...], ...], rows: List[List[int]],
+def _residue_step(keys: Tuple[Tuple[int, ...], ...], rows: list,
                   active: List[int], e_t: Sequence[int], t: int) -> tuple:
     """Residue at z_t = 0 of the state times the integrand factors involving z_t.
 
-    The state is rows[i] as the coefficients of the exponent tuple keys[i] over
-    the active variables, one per batch column; column j has the factor
-    (1+z_t)^{e_t[j]}, and every other active z_i brings the shared
-    1/(z_i - z_t) = sum_m z_t^m z_i^{-1-m}, negated when i > t.  A term with
-    z_t^{-p} pairs with the z_t^{p-1} coefficient of their product: the sum
-    over m_0 + sum m_i = p - 1 of C(e_t, m_0) prod z_i^{-1-m_i}.  Every state
-    exponent is at most -1, so p >= 1 and the work never depends on e_t.
+    The state gives the coefficient of the exponent tuple keys[i] over the
+    active variables, one per batch column: a row rows[i] of ints when the
+    batch has several columns, the int rows[i] itself when it has one.  Column
+    j has the factor (1+z_t)^{e_t[j]}, and every other active z_i brings the
+    shared 1/(z_i - z_t) = sum_m z_t^m z_i^{-1-m}, negated when i > t.  A term
+    with z_t^{-p} pairs with the z_t^{p-1} coefficient of their product: the
+    sum over m_0 + sum m_i = p - 1 of C(e_t, m_0) prod z_i^{-1-m_i}.  Every
+    state exponent is at most -1, so p >= 1 and the work never depends on e_t.
     The cached `_plan` says which products feed which output; this call only
-    multiplies and adds them, and drops the rows that come out all zero.
+    multiplies and adds them, in the state's own form, and drops the outputs
+    that come out zero.
     """
     tpos = active.index(t)
     sign = -1 if (len(active) - 1 - tpos) % 2 else 1  # active is sorted: these lie above t
     top, out_keys, sources = _plan(keys, tpos)
-    binomials = _binomial_rows(sign, e_t, top)
-    out = [list(map(sum, zip(*[map(mul, rows[i], binomials[m0]) for i, m0 in src])))
-           for src in sources]
-    live = [k for k, row in enumerate(out) if any(row)]
+    if len(e_t) == 1:
+        b = _binomials(sign, e_t[0], top)
+        out = [sum([rows[i] * b[m0] for i, m0 in src]) for src in sources]
+        live = [k for k, v in enumerate(out) if v]
+    else:
+        binomials = _binomial_rows(sign, e_t, top)
+        out = [list(map(sum, zip(*[map(mul, rows[i], binomials[m0]) for i, m0 in src])))
+               for src in sources]
+        live = [k for k, row in enumerate(out) if any(row)]
     if len(live) == len(out):
         return out_keys, out
     return tuple(out_keys[k] for k in live), [out[k] for k in live]
@@ -172,8 +189,9 @@ def _residue_sum(exponents: Sequence[Sequence[int]],
     residue for w processes z_{w(r)} first and z_{w(1)} last, so orders that
     share a prefix of reversed w share their innermost steps, across columns
     as well; the recursion below walks the union prefix tree of every order
-    of every column once.  A node's state rows hold only the columns whose
-    orders pass through it.
+    of every column once.  A node's state holds only the columns whose orders
+    pass through it, as rows of ints, or as one int per exponent tuple once a
+    single column is left.
     """
     r = len(exponents[0])
     totals = [0] * len(exponents)
@@ -184,7 +202,7 @@ def _residue_sum(exponents: Sequence[Sequence[int]],
         # Row position i of the state is column cols[i]; items index rows.
         if depth == r:  # keys == ((),): every variable is gone
             for _, i, sign in group:
-                totals[cols[i]] += sign * rows[0][i]
+                totals[cols[i]] += sign * (rows[0] if len(cols) == 1 else rows[0][i])
             return
         by_var: dict = {}
         for item in group:
@@ -196,14 +214,16 @@ def _residue_sum(exponents: Sequence[Sequence[int]],
                 where = {i: k for k, i in enumerate(keep)}
                 sub = [(seq, where[i], sign) for seq, i, sign in sub]
                 sub_cols = [cols[i] for i in keep]
-                sub_rows = [[row[i] for i in keep] for row in rows]
+                sub_rows = ([row[keep[0]] for row in rows] if len(keep) == 1 else
+                            [[row[i] for i in keep] for row in rows])
             nxt = _residue_step(keys, sub_rows, active, [exponents[j][t - 1] for j in sub_cols], t)
             if nxt[0]:
                 descend(*nxt, [v for v in active if v != t], sub_cols, sub, depth + 1)
 
     # The explicit 1/(z_1 ... z_r) factor; everything else enters step by step.
     columns = list(range(len(exponents)))
-    descend(((-1,) * r,), [[1] * len(columns)], list(range(1, r + 1)), columns, items, 0)
+    root = [1] if len(columns) == 1 else [[1] * len(columns)]
+    descend(((-1,) * r,), root, list(range(1, r + 1)), columns, items, 0)
     return totals
 
 
@@ -213,9 +233,10 @@ def iterated_residue(w: Permutation, exponents: Sequence[int]):
     `exponents` are the numerator exponents (e_1, ..., e_r) of the standard
     integrand; the denominator z_1...z_r prod_{i<j}(z_i - z_j) is implicit.
     """
+    exponents = int_entries(exponents)
     if len(w) != len(exponents):
         raise ValueError("permutation size must match the number of variables")
-    return _residue_sum([[int(e) for e in exponents]], [[(w.images, 1)]])[0]
+    return _residue_sum([exponents], [[(w.images, 1)]])[0]
 
 
 def iterated_residue_by_substitution(w: Permutation, exponents: Sequence[int]):
@@ -226,9 +247,10 @@ def iterated_residue_by_substitution(w: Permutation, exponents: Sequence[int]):
     sign(w) from reordering the difference factors; the residues are then
     taken in the standard order.  Must agree with `iterated_residue`.
     """
+    exponents = int_entries(exponents)
     if len(w) != len(exponents):
         raise ValueError("permutation size must match the number of variables")
-    permuted = w.apply([int(e) for e in exponents])
+    permuted = w.apply(exponents)
     return w.signature * _residue_sum([permuted], [[(tuple(range(1, len(w) + 1)), 1)]])[0]
 
 
@@ -248,9 +270,9 @@ def inversion_sign(w: Permutation) -> int:
 TERM_SIGN: Callable[[Permutation], int] = descent_sign
 
 
-def _exponents(a: Sequence[int]) -> List[int]:
+def _exponents(a: Tuple[int, ...]) -> List[int]:
     r = len(a) - 1
-    return [int(a[k]) + r - 1 - k for k in range(r)]
+    return [a[k] + r - 1 - k for k in range(r)]
 
 
 def partition_total(a: Sequence, regularised: Sequence,
@@ -259,14 +281,15 @@ def partition_total(a: Sequence, regularised: Sequence,
 
     Exposed separately so that (i) deformation insensitivity for already
     regular vectors and (ii) candidate sign conventions can be exercised
-    directly.  `a` supplies the integrand exponents; `regularised` only
-    selects the set of residue orders and must be regular for the
-    descent/ascent tests to be unambiguous.
+    directly.  `a` supplies the integrand exponents and is checked by
+    root_vector, so a non-integral entry is refused, not truncated;
+    `regularised` only selects the set of residue orders and must be regular
+    for the descent/ascent tests to be unambiguous.
     """
     orders = _special_orders(_chamber(*scaled_ints(regularised)))
     if term_sign is not None:
         orders = [(images, term_sign(Permutation(images))) for images, _ in orders]
-    return _residue_sum([_exponents(as_vector(a))], [orders])[0]
+    return _residue_sum([_exponents(root_vector(a))], [orders])[0]
 
 
 CacheInfo = namedtuple("CacheInfo", "hits misses maxsize currsize")

@@ -8,10 +8,11 @@ scaled_ints turns rational vectors into ints for the integer engine.  The
 positive roots are e_i - e_j for i < j.  The conventions fixed here
 (fundamental coordinates, the Weyl vector rho, the highest root multiples
 theta, cone membership, regularity, deformation) are shared by every other
-module in the package, and so are the input checks:
-root_vector for a partition argument, dominant, weight_pair and weight_triple
-for the weights of a multiplicity or a tensor coefficient.  The engine and
-the oracles both call them, so a bad input gets one error code everywhere.
+module in the package, and so are the input checks: int_entries for
+integer exponents, root_vector for a partition argument, dominant,
+weight_pair and weight_triple for the weights of a multiplicity or a tensor
+coefficient.  The engine and the oracles both call them, so a bad input gets
+one error code everywhere.
 """
 
 from __future__ import annotations
@@ -153,11 +154,18 @@ def is_regular(a: Sequence) -> bool:
     return True
 
 
+def int_entries(entries: Iterable) -> Tuple[int, ...]:
+    """The entries as ints: a float is refused with inexact-entry and a
+    non-integral rational with non-integral, never truncated."""
+    v = tuple(x if type(x) is int else _exact(x) for x in entries)
+    if Fraction in map(type, v):  # _exact keeps a Fraction only where it is not integral
+        raise ValidationError("non-integral", "need integer entries")
+    return v
+
+
 def root_vector(a: Sequence) -> Tuple[int, ...]:
     """A partition argument as ints: an integral zero-sum vector of r+1 >= 2 entries."""
-    v = as_vector(a)
-    if Fraction in map(type, v):  # as_vector keeps a Fraction only where it is not integral
-        raise ValidationError("non-integral", "partition counts need integer entries")
+    v = int_entries(as_vector(a))
     if sum(v) != 0:
         raise ValidationError("not-zero-sum", "partition counts need a zero-sum vector")
     return v

@@ -357,6 +357,18 @@ class TestBatch:
         assert (rows[0]["error"], rows[0]["line"], rows[1]["value"]) == ("malformed-json", 1, "1")
         assert exit_code == EXIT_INVALID
 
+    def test_rank_at_the_digit_limit_is_a_bad_length(self, capsys, monkeypatch):
+        # 4300 digits parse, but rank + 1 has 4301 and could not be printed.
+        import io
+
+        huge = '{"command": "kostant", "rank": %s, "vector": "1,-1"}' % ("9" * 4300)
+        good = json.dumps({"command": "kostant", "rank": 1, "vector": "1,-1"})
+        monkeypatch.setattr("sys.stdin", io.StringIO(huge + "\n" + good))
+        exit_code, out, _ = run_cli(capsys, "batch")
+        rows = [json.loads(line) for line in out.strip().splitlines()]
+        assert (rows[0]["error"], rows[0]["line"], rows[1]["value"]) == ("bad-length", 1, "1")
+        assert exit_code == EXIT_INVALID
+
     def test_records_call_the_functions_named_in_the_cli_module(self, capsys, monkeypatch):
         # Patches of these names (as the benchmark tracer makes) must be what runs.
         import io

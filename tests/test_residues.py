@@ -14,9 +14,11 @@ from kostant.permutations import Permutation
 from kostant.reference import kostant_partition_bruteforce
 from kostant.residues import (
     _binomial_rows,
+    _binomials,
     _chamber,
     _partition_of,
     _plan,
+    _residue_step,
     _special_orders,
     binomial,
     descent_sign,
@@ -141,6 +143,13 @@ class TestIteratedResidue:
         w = Permutation(images)
         assert iterated_residue(w, exps) == iterated_residue_by_substitution(w, exps)
 
+    @pytest.mark.parametrize("residue", [iterated_residue, iterated_residue_by_substitution])
+    def test_non_integral_exponent_is_refused_not_truncated(self, residue):
+        with pytest.raises(ValidationError) as err:
+            residue(Permutation((1,)), (Fraction(1, 2),))
+        assert err.value.code == "non-integral"
+        assert residue(Permutation((1, 2)), (Fraction(6, 2), -1)) == 3
+
 
 class TestPartitionTotal:
     def test_regular_argument_needs_no_deformation(self):
@@ -154,6 +163,13 @@ class TestPartitionTotal:
                 continue
             found += 1
             assert partition_total(a, a) == partition_total(a, deform(a)), a
+
+    def test_non_integral_argument_is_refused_not_truncated(self):
+        # int() would read (3/2, -3/2) as (1, -1), whose count is 1.
+        half = (Fraction(3, 2), Fraction(-3, 2))
+        with pytest.raises(ValidationError) as err:
+            partition_total(half, half)
+        assert err.value.code == "non-integral"
 
     def test_term_sign_override(self, sign_gates):
         a = deform((1, 0, -1, 0))
@@ -340,6 +356,20 @@ def _cheap_stream(seed, count):
         yield tuple(a)
 
 
+@st.composite
+def _cone_vectors(draw):
+    """Cone vectors of ranks 2-5, entries bounded so the DP oracle can answer."""
+    r = draw(st.integers(2, 5))
+    bound = 12 if r < 5 else 5  # rank 5 past 5 needs more updates than the DP allows
+    a, prefix = [], 0
+    for k in range(1, r + 1):
+        # keep prefix <= bound * (r + 1 - k), so the last entry can close it
+        x = draw(st.integers(max(-bound, -prefix), min(bound, bound * (r + 1 - k) - prefix)))
+        a.append(x)
+        prefix += x
+    return tuple(a) + (-prefix,)
+
+
 class TestCompiledStep:
     def test_recurrence_rows_are_exact_binomials(self):
         # Covers the zero band 0 <= e < m, where C(e, m) = 0 for every later m.
@@ -349,6 +379,49 @@ class TestCompiledStep:
             assert len(rows) == 12
             for m, row in enumerate(rows):
                 assert row == [sign * binomial(e, m) for e in exponents], (sign, m)
+                assert [_binomials(sign, e, 12)[m] for e in exponents] == row
+
+    def test_one_column_step_is_a_column_of_the_rows_step(self):
+        # keys[0] has a pole of order 2 at z_2, so with e_t = 0 the C(0, 1) = 0
+        # term gives an output that the one-column state must drop.
+        keys, active = ((-1, -2), (-2, -1)), [1, 2]
+        rows = [[1, 1, 2], [3, -1, 0]]
+        e_t = [0, 5, -4]
+        wide_keys, wide = _residue_step(keys, rows, active, e_t, 2)
+        for j, e in enumerate(e_t):
+            got_keys, got = _residue_step(keys, [row[j] for row in rows], active, [e], 2)
+            assert all(type(v) is int and v for v in got)
+            expected = [(k, row[j]) for k, row in zip(wide_keys, wide) if row[j]]
+            assert list(zip(got_keys, got)) == expected, e
+        assert any(not row[0] for row in wide)  # so column 0 had outputs to drop
+
+    def test_narrowing_reaches_the_one_column_kernel(self, monkeypatch):
+        widths = []
+        step = residues._residue_step
+
+        def spied(keys, rows, active, e_t, t):
+            widths.append((len(e_t), len(active)))
+            return step(keys, rows, active, e_t, t)
+
+        monkeypatch.setattr(residues, "_residue_step", spied)
+        _partition_of.cache_clear()
+        batch = [(2, -1, 1, -2), (1, 1, -1, -1)]
+        assert partition_counts(batch) == [kostant_partition_bruteforce(a) for a in batch] == [4, 5]
+        # The walk is depth first, so a step's first child step comes right after it.
+        assert ((2, 3), (1, 2)) in zip(widths, widths[1:])
+
+    @settings(max_examples=80, deadline=None)
+    @given(_cone_vectors())
+    def test_kernels_agree_with_the_dp_oracle(self, a):
+        # Alone: a one-column walk from the root.  Beside unrelated vectors of
+        # its rank: a batched walk that narrows to a's column at depth.
+        r = len(a) - 1
+        others = [(1,) + (0,) * (r - 1) + (-1,), (r,) + (-1,) * r, (2, -2) + (0,) * (r - 1)]
+        _partition_of.cache_clear()
+        alone = partition_counts([a])[0]
+        _partition_of.cache_clear()
+        batched = partition_counts(others + [a])[-1]
+        assert alone == batched == kostant_partition_bruteforce(a), a
 
     def test_values_do_not_depend_on_the_plan_cache(self):
         batch = _mixed_batch()
