@@ -13,16 +13,18 @@ mult, tensor and kostant take --oracle ("oracle": true in a batch record), a
 cross-check against a slow independent method; convert, poly-mult and
 poly-tensor have no oracle.  The four weight commands (mult, tensor,
 poly-mult, poly-tensor) read their weights in --basis, canonical by default.
-Vectors are comma-separated exact rationals (integers or p/q; floats are
-rejected).  Polynomial commands print the coefficients in ascending degree,
-e.g. "1,3,3,1".  A ray that meets the root lattice only at the multiples of
-a step s > 1 gets ";step=s" appended ("1,7/4,9/8,3/8;step=2"): the
-polynomial gives the values at N = s, 2s, ... and every other N has value 0.
-A ray whose counts fit no polynomial prints "fit-failed[<reason>]:<values>".
-An integer token is read as an int and a p/q token as a Fraction.  A number
-past Python's int-to-decimal digit limit (sys.get_int_max_str_digits()) is
-refused with malformed-rational; answers are printed in full at any length,
-without raising that limit.
+Vectors are comma-separated exact rationals.  vectors._exact reads each
+token with the one grammar the library uses for strings: an integer or p/q,
+anything else (a float, 1e3, 1_000, 2/0) refused with malformed-rational.
+An integral token becomes an int and any other p/q token a Fraction.  A
+number past Python's int-to-decimal digit limit
+(sys.get_int_max_str_digits()) is refused with malformed-rational; answers
+are printed in full at any length, without raising that limit.  Polynomial
+commands print the coefficients in ascending degree, e.g. "1,3,3,1".  A ray
+that meets the root lattice only at the multiples of a step s > 1 gets
+";step=s" appended ("1,7/4,9/8,3/8;step=2"): the polynomial gives the values
+at N = s, 2s, ... and every other N has value 0.  A ray whose counts fit no
+polynomial prints "fit-failed[<reason>]:<values>".
 Exit codes: 0 success, 2 invalid input, 3 oracle disagreement,
 4 resource exhaustion, 5 an internal error.  Single commands and batch
 records map failures to the same codes (_failure): a single command prints
@@ -35,11 +37,9 @@ from __future__ import annotations
 
 import argparse
 import json
-import re
 import sys
 import time
 from decimal import Decimal
-from fractions import Fraction
 from typing import Callable, NamedTuple, Optional, Sequence, Tuple
 
 from .formulas import (
@@ -58,9 +58,9 @@ from .reference import (
 from .residues import kostant_partition
 from .vectors import (
     DominantWeight,
-    Exact,
     ValidationError,
     Vector,
+    _exact,
     from_fundamental,
     to_fundamental,
 )
@@ -71,34 +71,12 @@ EXIT_ORACLE_MISMATCH = 3
 EXIT_RESOURCE = 4
 EXIT_INTERNAL = 5
 
-_RATIONAL = re.compile(r"^[+-]?\d+(/[1-9]\d*)?$")
-
-
-def _parse_rational(token: str) -> Exact:
-    token = token.strip()
-    if not _RATIONAL.match(token):
-        raise ValidationError(
-            "malformed-rational",
-            f"entry {token!r} is not an integer or p/q rational",
-        )
-    try:
-        return Fraction(token) if "/" in token else int(token)
-    except ValueError:  # the syntax is checked, so only the digit limit is left
-        raise ValidationError(
-            "malformed-rational",
-            f"an entry of {len(token)} characters has a number past the limit of "
-            f"{sys.get_int_max_str_digits()} digits",
-        ) from None
-
 
 def _parse_vector(text) -> Vector:
-    if isinstance(text, (list, tuple)):
-        items = text
-    else:
-        items = str(text).split(",")
+    items = text if isinstance(text, (list, tuple)) else str(text).split(",")
     if not items:
         raise ValidationError("bad-length", "empty vector")
-    return tuple(_parse_rational(str(tok)) for tok in items)
+    return tuple(_exact(str(tok)) for tok in items)
 
 
 def _field(record: dict, key: str):

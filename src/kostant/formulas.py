@@ -28,7 +28,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Sequence, Tuple, Union
+from typing import Iterable, Sequence, Tuple, Union
 
 from .parallel import map_counts
 from .permsearch import valid_couples, valid_permutations
@@ -41,6 +41,13 @@ def _lift(weight: Sequence[Exact], shift: Exact, rho_multiple: int) -> Tuple[int
     """weight - shift*(1, ..., 1) + rho_multiple*(r, r-1, ..., 0), as ints."""
     r = len(weight) - 1
     return tuple(int(x - shift) + rho_multiple * (r - i) for i, x in enumerate(weight))
+
+
+def _alternating_sum(terms: Iterable[Tuple[int, Tuple[int, ...]]]) -> int:
+    """The sum of sign * partitions(arg) over (sign, arg) terms, counted in one batch."""
+    terms = list(terms)
+    values = map_counts(partition_counts, [arg for _, arg in terms])
+    return sum(sign * value for (sign, _), value in zip(terms, values))
 
 
 def _signature_product(w1: Permutation, w2: Permutation) -> int:
@@ -73,12 +80,10 @@ def multiplicity(lam, mu: Sequence) -> int:
         return 0
     u = _lift(lam.canonical, shift, 1)
     v = _lift(mu, shift, 1)
-    terms = [
+    total = _alternating_sum(
         (w.signature, tuple(u[i - 1] - b for i, b in zip(w.images, v)))
         for w in valid_permutations(u, v)
-    ]
-    values = map_counts(partition_counts, [arg for _, arg in terms])
-    total = sum(sign * value for (sign, _), value in zip(terms, values))
+    )
     if total < 0:
         raise AssertionError("alternating multiplicity sum came out negative")
     return total
@@ -94,15 +99,11 @@ def tensor_product(lam, mu, nu, *, _sign=None) -> int:
     u1 = _lift(lam.canonical, shift1, 1)
     u2 = _lift(mu.canonical, shift2, 1)
     target = _lift(nu.canonical, shift1 + shift2, 2)
-    terms = [
-        (
-            sign_rule(w1, w2),
-            tuple(u1[i - 1] + u2[j - 1] - t for i, j, t in zip(w1.images, w2.images, target)),
-        )
+    total = _alternating_sum(
+        (sign_rule(w1, w2),
+         tuple(u1[i - 1] + u2[j - 1] - t for i, j, t in zip(w1.images, w2.images, target)))
         for w1, w2 in valid_couples(u1, u2, target)
-    ]
-    values = map_counts(partition_counts, [arg for _, arg in terms])
-    total = sum(sign * value for (sign, _), value in zip(terms, values))
+    )
     if _sign is None and total < 0:
         raise AssertionError("alternating tensor sum came out negative")
     return total

@@ -31,7 +31,7 @@ from operator import add, mul
 from typing import Callable, List, Sequence, Tuple
 
 from .permutations import Permutation
-from .vectors import int_entries, root_vector, scaled_ints
+from .vectors import ValidationError, int_entries, root_vector, scaled_ints, subset_sums
 
 
 def binomial(e: int, m: int) -> int:
@@ -54,16 +54,9 @@ _SHARED: dict = {}
 
 
 def _chamber(a: Sequence[int]) -> bytes:
-    """Byte m is 1 when the subset sum of a_1, ..., a_r with bit mask m is >= 0.
-
-    These signs are the chamber of a in the arrangement of walls a_S = 0, and
-    they are all that order selection reads.  Bit k of m stands for a_{k+1};
-    each doubling appends the sums that include the next entry.
-    """
-    sums = [0]
-    for x in a[:-1]:
-        sums += [s + x for s in sums]
-    return bytes([s >= 0 for s in sums])
+    """Byte m is 1 when subset sum m of a is >= 0: the chamber of a in the
+    arrangement of walls a_S = 0, and all that order selection reads."""
+    return bytes([s >= 0 for s in subset_sums(a)])
 
 
 @lru_cache(maxsize=4096)
@@ -227,15 +220,21 @@ def _residue_sum(exponents: Sequence[Sequence[int]],
     return totals
 
 
+def _sized(exponents: Sequence[int], size: int) -> Tuple[int, ...]:
+    """The exponents as ints, refused with bad-length unless there are `size` of them."""
+    exponents = int_entries(exponents)
+    if len(exponents) != size:
+        raise ValidationError("bad-length", f"need {size} exponents, one per variable, not {len(exponents)}")
+    return exponents
+
+
 def iterated_residue(w: Permutation, exponents: Sequence[int]):
     """IRes^w at z = 0: residues taken in z_{w(r)} first, ..., z_{w(1)} last.
 
     `exponents` are the numerator exponents (e_1, ..., e_r) of the standard
     integrand; the denominator z_1...z_r prod_{i<j}(z_i - z_j) is implicit.
     """
-    exponents = int_entries(exponents)
-    if len(w) != len(exponents):
-        raise ValueError("permutation size must match the number of variables")
+    exponents = _sized(exponents, len(w))
     return _residue_sum([exponents], [[(w.images, 1)]])[0]
 
 
@@ -247,9 +246,7 @@ def iterated_residue_by_substitution(w: Permutation, exponents: Sequence[int]):
     sign(w) from reordering the difference factors; the residues are then
     taken in the standard order.  Must agree with `iterated_residue`.
     """
-    exponents = int_entries(exponents)
-    if len(w) != len(exponents):
-        raise ValueError("permutation size must match the number of variables")
+    exponents = _sized(exponents, len(w))
     permuted = w.apply(exponents)
     return w.signature * _residue_sum([permuted], [[(tuple(range(1, len(w) + 1)), 1)]])[0]
 
@@ -283,13 +280,16 @@ def partition_total(a: Sequence, regularised: Sequence,
     regular vectors and (ii) candidate sign conventions can be exercised
     directly.  `a` supplies the integrand exponents and is checked by
     root_vector, so a non-integral entry is refused, not truncated;
-    `regularised` only selects the set of residue orders and must be regular
+    `regularised`, of the same length (bad-length otherwise), only selects
+    the set of residue orders and must be regular
     for the descent/ascent tests to be unambiguous.
     """
-    orders = _special_orders(_chamber(*scaled_ints(regularised)))
+    regularised, = scaled_ints(regularised)
+    exponents = _sized(_exponents(root_vector(a)), len(regularised) - 1)
+    orders = _special_orders(_chamber(regularised))
     if term_sign is not None:
         orders = [(images, term_sign(Permutation(images))) for images, _ in orders]
-    return _residue_sum([_exponents(root_vector(a))], [orders])[0]
+    return _residue_sum([exponents], [orders])[0]
 
 
 CacheInfo = namedtuple("CacheInfo", "hits misses maxsize currsize")

@@ -2,21 +2,24 @@
 
 Vectors live in R^{r+1}, written in the canonical basis, and every entry is
 an exact rational number in one format: an int where the entry is integral
-and a Fraction only where it is not.  _exact holds that rule and is the one
-place that refuses floats; every vector this module returns follows it, and
-scaled_ints turns rational vectors into ints for the integer engine.  The
-positive roots are e_i - e_j for i < j.  The conventions fixed here
-(fundamental coordinates, the Weyl vector rho, the highest root multiples
-theta, cone membership, regularity, deformation) are shared by every other
-module in the package, and so are the input checks: int_entries for
-integer exponents, root_vector for a partition argument, dominant,
-weight_pair and weight_triple for the weights of a multiplicity or a tensor
-coefficient.  The engine and the oracles both call them, so a bad input gets
-one error code everywhere.
+and a Fraction only where it is not.  _exact holds that rule and the one
+grammar for number strings, an integer or p/q on the command line and in the
+library alike; it refuses floats and anything else with a code.  Every
+vector this module returns follows the format, and scaled_ints turns
+rational vectors into ints for the integer engine.  The positive roots are
+e_i - e_j for i < j.  The conventions fixed here (fundamental coordinates,
+rho, the highest root multiples theta, cone membership, subset sums,
+regularity, deformation) are shared by every other module in the package,
+and so are the input checks: int_entries for integer exponents, root_vector
+for a partition argument, dominant, weight_pair and weight_triple for the
+weights of a multiplicity or a tensor coefficient.  The engine and the
+oracles both call them, so a bad input gets one error code everywhere.
 """
 
 from __future__ import annotations
 
+import re
+import sys
 from dataclasses import dataclass
 from fractions import Fraction
 from itertools import accumulate, combinations
@@ -25,6 +28,8 @@ from typing import Iterable, List, Sequence, Tuple, Union
 
 Exact = Union[int, Fraction]
 Vector = Tuple[Exact, ...]
+
+_RATIONAL = re.compile(r"[+-]?\d+(/[1-9]\d*)?")  # the number grammar of a string: integer or p/q
 
 # Regularity is decided by exhaustive subset enumeration, which is exact but
 # exponential in the rank; practical ranks here are single digits.
@@ -40,16 +45,26 @@ class ValidationError(ValueError):
 
 
 def _exact(x) -> Exact:
-    """x as an int if it is integral, else as a Fraction; floats are refused outright."""
+    """x as an int if it is integral, else as a Fraction.  A string must be an
+    integer or p/q once stripped; a float, or any value Fraction refuses, is refused."""
     if type(x) is int:
         return x
     if isinstance(x, float):
-        raise ValidationError(
-            "inexact-entry",
-            f"floating-point entry {x!r}; give integers or p/q rationals",
-        )
-    if type(x) is not Fraction:  # subclasses too, so the result is exactly int or Fraction
-        x = Fraction(x)
+        raise ValidationError("inexact-entry", f"floating-point entry {x!r}; give integers or p/q rationals")
+    if isinstance(x, str):
+        x = x.strip()
+        if not _RATIONAL.fullmatch(x):
+            raise ValidationError("malformed-rational", f"entry {x!r} is not an integer or p/q rational")
+        try:
+            x = Fraction(x) if "/" in x else int(x)
+        except ValueError:  # the syntax is checked, so only the digit limit is left
+            raise ValidationError("malformed-rational", f"an entry of {len(x)} characters has a number past "
+                                  f"the limit of {sys.get_int_max_str_digits()} digits") from None
+    elif type(x) is not Fraction:  # subclasses too, so the result is exactly int or Fraction
+        try:
+            x = Fraction(x)
+        except (TypeError, ValueError, OverflowError) as exc:
+            raise ValidationError("malformed-rational", f"{type(x).__name__} entry: {exc}") from None
     return x.numerator if x.denominator == 1 else x
 
 
@@ -138,20 +153,24 @@ def in_positive_cone(a: Sequence) -> bool:
     return sum(a) == 0 and min(accumulate(a)) >= 0
 
 
+def subset_sums(a: Sequence) -> List:
+    """The 2^r subset sums of a_1, ..., a_r, by bit mask: bit k of m stands for
+    a_{k+1}, and each doubling appends the sums that include the next entry."""
+    sums = [0]
+    for x in a[:-1]:
+        sums += [s + x for s in sums]
+    return sums
+
+
 def is_regular(a: Sequence) -> bool:
     """No non-empty proper subset of entries sums to zero."""
     a = as_vector(a)
     if sum(a) != 0:
         raise ValidationError("not-zero-sum", "regularity is defined for zero-sum vectors")
-    n = len(a)
-    if n - 1 > _REGULARITY_RANK_LIMIT:
+    if len(a) - 1 > _REGULARITY_RANK_LIMIT:
         raise ValidationError("rank-too-large", f"regularity check limited to rank {_REGULARITY_RANK_LIMIT}")
-    # A subset sums to zero iff its complement does, so sizes up to n//2 suffice.
-    for size in range(1, n // 2 + 1):
-        for subset in combinations(a, size):
-            if sum(subset) == 0:
-                return False
-    return True
+    # A zero-sum subset or its (zero-sum) complement leaves out the last entry.
+    return 0 not in subset_sums(a)[1:]
 
 
 def int_entries(entries: Iterable) -> Tuple[int, ...]:

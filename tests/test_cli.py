@@ -20,7 +20,8 @@ from kostant.cli import (
     main,
     run_record,
 )
-from kostant.vectors import ValidationError
+from kostant.residues import kostant_partition
+from kostant.vectors import ValidationError, as_vector
 
 
 def run_cli(capsys, *argv):
@@ -180,6 +181,11 @@ class TestSurface:
         assert (flags, positionals) == SURFACE[command]
 
 
+# One number grammar: a string is an integer or p/q, in the library as in a record.
+_GRAMMAR = [("3", 3), (" -3 ", -3), ("+3", 3), ("5/3", Fraction(5, 3)), ("4/2", 2)] + [
+    (token, "malformed-rational") for token in ("1.5", "1e3", "1_000", "abc", "", "2/0", "3/-2", "9" * 5000)]
+
+
 class TestValidation:
     def test_float_entry_rejected(self, capsys):
         code, _, err = run_cli(capsys, "kostant", "--rank", "2", "0.5,0,-0.5")
@@ -203,6 +209,30 @@ class TestValidation:
             capsys, "convert", "--rank", "1", "--to", "canonical", "1/0"
         )
         assert code == EXIT_INVALID
+
+    @pytest.mark.parametrize("token, expected", _GRAMMAR,
+                             ids=[t if len(t) < 9 else "5000 digits" for t, _ in _GRAMMAR])
+    def test_library_and_batch_read_numbers_alike(self, capsys, monkeypatch, token, expected):
+        import io
+
+        def outcome(call):
+            try:
+                return call()
+            except ValidationError as exc:
+                return exc.code
+
+        read = outcome(lambda: as_vector([token, 0])[0])
+        assert (read, type(read)) == (expected, type(expected))
+        # The record pairs the token with minus the library's reading, so it
+        # sums to zero only where the batch reads the same number.
+        vector = [token, "0" if isinstance(read, str) else str(-read)]
+        library = outcome(lambda: kostant_partition(vector))
+        record = {"command": "kostant", "rank": 1, "vector": vector}
+        monkeypatch.setattr("sys.stdin", io.StringIO(json.dumps(record)))
+        _, out, err = run_cli(capsys, "batch")
+        row = json.loads(out)
+        assert row.get("error", row.get("value")) == (library if isinstance(library, str) else str(library))
+        assert "Traceback" not in err
 
     def test_library_fault_is_an_internal_error(self, capsys, monkeypatch):
         def broken(*args):

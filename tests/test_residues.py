@@ -150,6 +150,13 @@ class TestIteratedResidue:
         assert err.value.code == "non-integral"
         assert residue(Permutation((1, 2)), (Fraction(6, 2), -1)) == 3
 
+    @pytest.mark.parametrize("residue", [iterated_residue, iterated_residue_by_substitution])
+    @pytest.mark.parametrize("images, exponents", [((1, 2), (1,)), ((1,), (1, 0)), ((2, 1), ())])
+    def test_size_mismatch_is_a_bad_length(self, residue, images, exponents):
+        with pytest.raises(ValidationError) as err:
+            residue(Permutation(images), exponents)
+        assert err.value.code == "bad-length"
+
 
 class TestPartitionTotal:
     def test_regular_argument_needs_no_deformation(self):
@@ -170,6 +177,13 @@ class TestPartitionTotal:
         with pytest.raises(ValidationError) as err:
             partition_total(half, half)
         assert err.value.code == "non-integral"
+
+    @pytest.mark.parametrize("a, regularised", [((1, -1), (2, 0, -2)), ((2, 0, -2), (1, -1)),
+                                                ((1, 0, -1), deform((1, 0, 0, -1)))])
+    def test_rank_mismatch_is_a_bad_length(self, a, regularised):
+        with pytest.raises(ValidationError) as err:
+            partition_total(a, regularised)
+        assert err.value.code == "bad-length"
 
     def test_term_sign_override(self, sign_gates):
         a = deform((1, 0, -1, 0))

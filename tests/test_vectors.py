@@ -1,5 +1,6 @@
 """Exact vector arithmetic, bases, cone and regularity predicates."""
 
+from decimal import Decimal
 from fractions import Fraction
 
 import pytest
@@ -70,6 +71,13 @@ class TestAsVector:
         with pytest.raises(ValidationError) as err:
             root_vector((F(1, 2), F(-1, 2)))
         assert err.value.code == "non-integral"
+
+    @pytest.mark.parametrize("entry", [None, 1j, Decimal("NaN"), Decimal("-Infinity"), object()])
+    def test_values_fraction_refuses_are_malformed(self, entry):
+        with pytest.raises(ValidationError) as err:
+            as_vector([entry, 0])
+        assert err.value.code == "malformed-rational"
+        assert "digits" not in str(err.value)
 
     def test_floats_are_refused_everywhere(self):
         for call in (lambda: from_fundamental((1.0, 2)), lambda: vec_scale((1, -1), 0.5),
@@ -191,15 +199,17 @@ class TestRegularity:
     def test_brute_force_agreement(self):
         import itertools
 
-        for entries in itertools.product(range(-3, 4), repeat=4):
-            if sum(entries) != 0:
-                continue
-            expected = all(
-                sum(sub) != 0
-                for size in range(1, 4)
-                for sub in itertools.combinations(entries, size)
-            )
-            assert is_regular(entries) == expected, entries
+        def by_subsets(entries):
+            return all(sum(sub) != 0 for size in range(1, len(entries))
+                       for sub in itertools.combinations(entries, size))
+
+        # Ranks 1-5, integral and rational: each box vector, its deformation
+        # and its third, which mixes ints with Fractions.
+        for r, bound in ((1, 3), (2, 3), (3, 3), (4, 2), (5, 1)):
+            for head in itertools.product(range(-bound, bound + 1), repeat=r):
+                a = head + (-sum(head),)
+                for entries in (a, deform(a), as_vector(F(x, 3) for x in a)):
+                    assert is_regular(entries) == by_subsets(entries), entries
 
 
 class TestDeform:
