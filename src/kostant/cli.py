@@ -11,7 +11,9 @@ Commands
 
 mult, tensor and kostant take --oracle ("oracle": true in a batch record), a
 cross-check against a slow independent method; convert, poly-mult and
-poly-tensor have no oracle.  The four weight commands (mult, tensor,
+poly-tensor have no oracle.  The oracles (kostant.reference) load on the
+first oracle call and argparse in build_parser, so importing this module to
+call run_record loads neither.  The four weight commands (mult, tensor,
 poly-mult, poly-tensor) read their weights in --basis, canonical by default.
 Vectors are comma-separated exact rationals.  vectors._exact reads each
 token with the one grammar the library uses for strings: an integer or p/q,
@@ -35,12 +37,11 @@ number of its stdin line, blank lines included.
 
 from __future__ import annotations
 
-import argparse
 import json
 import sys
 import time
 from decimal import Decimal
-from typing import Callable, NamedTuple, Optional, Sequence, Tuple
+from typing import TYPE_CHECKING, Callable, NamedTuple, Optional, Sequence, Tuple
 
 from .formulas import (
     RayFitFailure,
@@ -48,12 +49,6 @@ from .formulas import (
     multiplicity_polynomial,
     tensor_polynomial,
     tensor_product,
-)
-from .reference import (
-    OracleDomainError,
-    kostant_partition_bruteforce,
-    multiplicity_freudenthal,
-    tensor_bruteforce_lr,
 )
 from .residues import kostant_partition
 from .vectors import (
@@ -64,6 +59,9 @@ from .vectors import (
     from_fundamental,
     to_fundamental,
 )
+
+if TYPE_CHECKING:
+    import argparse
 
 EXIT_OK = 0
 EXIT_INVALID = 2
@@ -107,6 +105,13 @@ class _Query(NamedTuple):
     oracle: Optional[Callable] = None
 
 
+def _reference():
+    """kostant.reference, imported by the first oracle call rather than with the CLI."""
+    from . import reference
+
+    return reference
+
+
 _VECTOR = (("vector", "vector"),)
 _PAIR = (("lambda", "dominant"), ("mu", "weight"))
 _TRIPLE = (("lambda", "dominant"), ("mu", "dominant"), ("nu", "dominant"))
@@ -117,11 +122,11 @@ _TRIPLE = (("lambda", "dominant"), ("mu", "dominant"), ("nu", "dominant"))
 # function up when a record runs, so a name patched in this module is used.
 QUERIES = {
     "mult": _Query("weight multiplicity in an irreducible", _PAIR,
-                   lambda *w: multiplicity(*w), lambda *w: multiplicity_freudenthal(*w)),
+                   lambda *w: multiplicity(*w), lambda *w: _reference().multiplicity_freudenthal(*w)),
     "tensor": _Query("tensor product coefficient", _TRIPLE,
-                     lambda *w: tensor_product(*w), lambda *w: tensor_bruteforce_lr(*w)),
+                     lambda *w: tensor_product(*w), lambda *w: _reference().tensor_bruteforce_lr(*w)),
     "kostant": _Query("partition count of a zero-sum vector", _VECTOR,
-                      lambda a: kostant_partition(a), lambda a: kostant_partition_bruteforce(a)),
+                      lambda a: kostant_partition(a), lambda a: _reference().kostant_partition_bruteforce(a)),
     "poly-mult": _Query("multiplicity polynomial along a dilation ray", _PAIR,
                         lambda *w: multiplicity_polynomial(*w)),
     "poly-tensor": _Query("tensor polynomial along a dilation ray", _TRIPLE,
@@ -175,6 +180,8 @@ def run_record(record: dict) -> dict:
 
 
 def _oracle_verdict(oracle, weights, value) -> Optional[str]:
+    from .reference import OracleDomainError
+
     try:
         expected = oracle(*weights)
     except OracleDomainError:
@@ -253,6 +260,8 @@ def _batch() -> int:
 
 
 def build_parser() -> argparse.ArgumentParser:
+    import argparse  # loaded by the commands that parse argv, not by run_record
+
     parser = argparse.ArgumentParser(
         prog="kostant",
         description="Exact partition counts, weight multiplicities and tensor "

@@ -26,9 +26,8 @@ N = s, 2s, ..., (d+1)s and verified at (d+2)s and (d+3)s.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from fractions import Fraction
-from typing import Iterable, Sequence, Tuple, Union
+from typing import Iterable, NamedTuple, Sequence, Tuple, Union
 
 from .parallel import map_counts
 from .permsearch import valid_couples, valid_permutations
@@ -109,8 +108,7 @@ def tensor_product(lam, mu, nu, *, _sign=None) -> int:
     return total
 
 
-@dataclass(frozen=True)
-class RayPolynomial:
+class RayPolynomial(NamedTuple):
     """Exact polynomial agreeing with a dilation ray of counts.
 
     coefficients[k] multiplies N^k; sample_points were interpolated and
@@ -138,8 +136,7 @@ class RayPolynomial:
         return _exact(acc)
 
 
-@dataclass(frozen=True)
-class RayFitFailure:
+class RayFitFailure(NamedTuple):
     """Raw ray data returned when the sampled counts fail to be polynomial."""
 
     reason: str

@@ -320,7 +320,9 @@ def partition_counts(vectors: Sequence[Sequence[int]]) -> List[int]:
 
     Repeats and earlier results come from the memo; the rest are counted by
     one batched residue walk per rank (zero outside the cone).  Each vector
-    is checked by root_vector, so a bad one raises its ValidationError code.
+    is checked by root_vector, so a bad one raises its ValidationError code,
+    and an in-cone one above the rank limit of subset_sums raises
+    rank-too-large before its chamber key is built.
     """
     memo = _partition_of
     keys = [root_vector(a) for a in vectors]

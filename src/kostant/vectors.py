@@ -20,7 +20,6 @@ from __future__ import annotations
 
 import re
 import sys
-from dataclasses import dataclass
 from fractions import Fraction
 from itertools import accumulate, combinations
 from math import lcm
@@ -31,9 +30,10 @@ Vector = Tuple[Exact, ...]
 
 _RATIONAL = re.compile(r"[+-]?\d+(/[1-9]\d*)?")  # the number grammar of a string: integer or p/q
 
-# Regularity is decided by exhaustive subset enumeration, which is exact but
-# exponential in the rank; practical ranks here are single digits.
-_REGULARITY_RANK_LIMIT = 20
+# Regularity and the chamber keys of order selection read all 2^r subset
+# sums, which is exact but exponential in the rank; practical ranks here are
+# single digits.  subset_sums refuses a larger rank before it builds a sum.
+_SUBSET_RANK_LIMIT = 20
 
 
 class ValidationError(ValueError):
@@ -155,7 +155,10 @@ def in_positive_cone(a: Sequence) -> bool:
 
 def subset_sums(a: Sequence) -> List:
     """The 2^r subset sums of a_1, ..., a_r, by bit mask: bit k of m stands for
-    a_{k+1}, and each doubling appends the sums that include the next entry."""
+    a_{k+1}, and each doubling appends the sums that include the next entry.
+    A rank above _SUBSET_RANK_LIMIT is refused with rank-too-large."""
+    if len(a) - 1 > _SUBSET_RANK_LIMIT:
+        raise ValidationError("rank-too-large", f"subset sums are limited to rank {_SUBSET_RANK_LIMIT}")
     sums = [0]
     for x in a[:-1]:
         sums += [s + x for s in sums]
@@ -167,8 +170,6 @@ def is_regular(a: Sequence) -> bool:
     a = as_vector(a)
     if sum(a) != 0:
         raise ValidationError("not-zero-sum", "regularity is defined for zero-sum vectors")
-    if len(a) - 1 > _REGULARITY_RANK_LIMIT:
-        raise ValidationError("rank-too-large", f"regularity check limited to rank {_REGULARITY_RANK_LIMIT}")
     # A zero-sum subset or its (zero-sum) complement leaves out the last entry.
     return 0 not in subset_sums(a)[1:]
 
@@ -215,21 +216,44 @@ def theta(r: int) -> "DominantWeight":
     return DominantWeight(tuple(range(r, 0, -1)) + (-r * (r + 1) // 2,))
 
 
-@dataclass(frozen=True)
 class DominantWeight:
-    """A weight with non-negative integer fundamental coordinates."""
+    """A weight with non-negative integer fundamental coordinates.
 
-    canonical: Vector
+    Immutable, and equal (with equal hashes) exactly when the canonical
+    vectors are equal.
+    """
 
-    def __post_init__(self):
-        v = as_vector(self.canonical)
-        object.__setattr__(self, "canonical", v)
+    __slots__ = ("canonical",)
+
+    def __init__(self, canonical: Sequence):
+        v = as_vector(canonical)
         for i in range(len(v) - 1):
             d = v[i] - v[i + 1]
             if d.denominator != 1:
                 raise ValidationError("non-integral-weight", f"consecutive difference {i + 1} is not an integer")
             if d < 0:
                 raise ValidationError("not-dominant", f"consecutive difference {i + 1} is negative")
+        object.__setattr__(self, "canonical", v)
+
+    def __setattr__(self, name, value):
+        raise AttributeError(f"cannot assign to field {name!r}: DominantWeight is immutable")
+
+    def __delattr__(self, name):
+        raise AttributeError(f"cannot delete field {name!r}: DominantWeight is immutable")
+
+    def __eq__(self, other):
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return self.canonical == other.canonical
+
+    def __hash__(self) -> int:
+        return hash(self.canonical)
+
+    def __repr__(self) -> str:
+        return f"DominantWeight(canonical={self.canonical!r})"
+
+    def __reduce__(self):  # copy and pickle rebuild through __init__, not attribute assignment
+        return DominantWeight, (self.canonical,)
 
     @property
     def rank(self) -> int:

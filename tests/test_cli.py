@@ -2,6 +2,7 @@
 
 import argparse
 import json
+import os
 import pathlib
 import shlex
 import sys
@@ -469,6 +470,79 @@ class TestBatch:
         assert rows[2]["error"] == "malformed-rational"
         assert exit_code == exit_expected
         assert "Traceback" not in err
+
+
+class TestRankLimit:
+    def test_lowered_limit_refuses_a_command(self, capsys, monkeypatch):
+        from kostant import residues, vectors
+
+        monkeypatch.setattr(vectors, "_SUBSET_RANK_LIMIT", 3)
+        monkeypatch.setattr(residues, "_partition_of", residues._Memo(16))
+        code, out, err = run_cli(capsys, "kostant", "--rank", "4", "1,0,0,0,-1")
+        assert (code, out, json.loads(err)["error"]) == (EXIT_INVALID, "", "rank-too-large")
+        code, out, _ = run_cli(capsys, "kostant", "--rank", "3", "1,0,0,-1")
+        assert (code, out.strip()) == (EXIT_OK, "4")
+
+    def test_record_above_the_limit_is_a_typed_error_with_its_line(self, capsys, monkeypatch):
+        # Refused before the order search, which runs past 30 s at this rank.
+        import io
+
+        from kostant import residues
+        from kostant.vectors import _SUBSET_RANK_LIMIT
+
+        def no_search(chamber):
+            raise AssertionError(f"order search reached at rank {len(chamber).bit_length() - 1}")
+
+        monkeypatch.setattr(residues, "_special_orders", no_search)
+        rank = _SUBSET_RANK_LIMIT + 1
+        big = {"command": "kostant", "rank": rank, "vector": [1] + [0] * (rank - 1) + [-1]}
+        outside = {"command": "kostant", "rank": 2, "vector": "-2,0,2"}
+        monkeypatch.setattr("sys.stdin", io.StringIO(json.dumps(big) + "\n" + json.dumps(outside)))
+        exit_code, out, _ = run_cli(capsys, "batch")
+        rows = [json.loads(line) for line in out.strip().splitlines()]
+        assert (rows[0]["error"], rows[0]["line"]) == ("rank-too-large", 1)
+        assert rows[1]["value"] == "0"
+        assert exit_code == EXIT_INVALID
+
+
+def _fresh_python(*args, stdin=""):
+    """Run a new interpreter that imports this kostant package; (returncode, stdout)."""
+    import subprocess
+
+    import kostant
+
+    env = {**os.environ, "PYTHONPATH": str(pathlib.Path(kostant.__file__).resolve().parent.parent)}
+    done = subprocess.run([sys.executable, *args], input=stdin, capture_output=True, text=True,
+                          env=env, timeout=60)
+    return done.returncode, done.stdout
+
+
+class TestLazyImports:
+    def test_importing_the_cli_loads_no_oracle_argparse_or_dataclasses(self):
+        # The set before the import is the bare interpreter's, whatever site loaded.
+        code, out = _fresh_python("-c", "import sys; bare = set(sys.modules); import kostant, "
+                                  "kostant.cli; print(*sorted(set(sys.modules) - bare))")
+        added = set(out.split())
+        assert code == 0 and {"kostant", "kostant.cli"} <= added
+        assert not added & {"dataclasses", "inspect", "argparse", "kostant.reference"}, added
+
+    def test_oracle_flag_in_a_fresh_process(self):
+        code, out = _fresh_python("-m", "kostant.cli", "kostant", "--rank", "2", "2,0,-2", "--oracle")
+        assert (code, out.splitlines()) == (EXIT_OK, ["3", "oracle: agree"])
+
+    def test_batch_oracles_in_a_fresh_process(self):
+        records = [
+            {"command": "kostant", "rank": 2, "vector": "100,0,-100", "oracle": True},
+            {"command": "mult", "rank": 2, "lambda": "1,0,-1", "mu": "0,0,0", "oracle": True},
+            {"command": "tensor", "rank": 2, "basis": "fundamental", "lambda": "1,1",
+             "mu": "1,1", "nu": "1,1", "oracle": True},
+        ]
+        code, out = _fresh_python("-m", "kostant.cli", "batch",
+                                  stdin="\n".join(map(json.dumps, records)))
+        rows = [json.loads(line) for line in out.splitlines()]
+        assert code == EXIT_OK
+        assert [(row["value"], row["oracle"]) for row in rows] == [
+            ("101", None), ("2", "agree"), ("2", "agree")]
 
 
 _DIGIT_LIMIT = getattr(sys, "get_int_max_str_digits", lambda: 0)()

@@ -194,6 +194,26 @@ class TestRayPolynomial:
         )
         assert p.degree == 0
 
+    def test_fields_and_default_step(self):
+        p = RayPolynomial((1, Fraction(7, 4)), (2, 4), (6, 8))
+        assert (p.coefficients, p.sample_points, p.verified_points, p.step) == (
+            (1, Fraction(7, 4)), (2, 4), (6, 8), 1)
+        assert RayPolynomial((1,), (2,), (4,), step=2).step == 2
+        assert p.evaluate(Fraction(4, 7)) == 2 and type(p.evaluate(4)) is int
+
+    def test_failure_fields(self):
+        f = RayFitFailure("ray crosses chamber structure inconsistently", (1, 2, 3), (1, 4, 10))
+        assert (f.reason, f.sample_points, f.values) == (
+            "ray crosses chamber structure inconsistently", (1, 2, 3), (1, 4, 10))
+
+    def test_results_are_immutable(self):
+        p = RayPolynomial((1, 1), (1, 2), (3, 4))
+        f = RayFitFailure("reason", (1,), (0,))
+        for record, field in ((p, "coefficients"), (p, "step"), (f, "values")):
+            with pytest.raises(AttributeError):
+                setattr(record, field, ())
+        assert p.coefficients == (1, 1) and f.values == (0,)
+
 
 class TestMultiplicityPolynomial:
     def test_theta_ray_rank_two(self):

@@ -9,7 +9,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from kostant import residues
-from kostant.formulas import multiplicity
+from kostant.formulas import multiplicity, tensor_product
 from kostant.permutations import Permutation
 from kostant.reference import kostant_partition_bruteforce
 from kostant.residues import (
@@ -30,7 +30,7 @@ from kostant.residues import (
     partition_total,
     special_permutations,
 )
-from kostant.vectors import ValidationError, deform, is_regular, theta
+from kostant.vectors import DominantWeight, ValidationError, deform, is_regular, theta
 
 
 class TestBinomial:
@@ -519,3 +519,33 @@ class TestChamberOrders:
             assert tiny.cache_info().currsize <= 8
         assert got == expected
         assert tiny.cache_info().misses > 50
+
+
+class TestRankLimit:
+    """An in-cone argument above vectors._SUBSET_RANK_LIMIT is refused before
+    its 2^r subset sums are built; the limit is lowered here, never reached."""
+
+    @pytest.fixture(autouse=True)
+    def lowered(self, monkeypatch):
+        from kostant import vectors
+
+        monkeypatch.setattr(vectors, "_SUBSET_RANK_LIMIT", 3)
+        monkeypatch.setattr(residues, "_partition_of", residues._Memo(1 << 15))
+
+    @pytest.mark.parametrize("call", [
+        lambda: kostant_partition((1, 0, 0, 0, -1)),
+        lambda: partition_counts([(1, -1), (2, 0, 0, -1, -1)]),
+        lambda: special_permutations((1, 0, 0, 0, -1)),
+        lambda: partition_total((1, 0, 0, 0, -1), deform((1, 0, 0, 0, -1))),
+        lambda: multiplicity(theta(4), (0,) * 5),
+        lambda: tensor_product(*[DominantWeight((1, 0, 0, 0, -1))] * 2, DominantWeight((0,) * 5)),
+    ], ids=["kostant_partition", "partition_counts", "special_permutations",
+            "partition_total", "multiplicity", "tensor_product"])
+    def test_above_the_limit_is_refused(self, call):
+        with pytest.raises(ValidationError) as err:
+            call()
+        assert err.value.code == "rank-too-large"
+
+    def test_at_the_limit_and_outside_the_cone_still_count(self):
+        assert kostant_partition((1, 0, 0, -1)) == kostant_partition_bruteforce((1, 0, 0, -1)) == 4
+        assert partition_counts([(-1, 0, 0, 0, 1), (0, 0, 1, -2, 1)]) == [0, 0]

@@ -6,6 +6,7 @@ from fractions import Fraction
 import pytest
 from hypothesis import given, strategies as st
 
+from kostant import vectors
 from kostant.vectors import (
     DominantWeight,
     ValidationError,
@@ -19,6 +20,7 @@ from kostant.vectors import (
     rho,
     root_vector,
     scaled_ints,
+    subset_sums,
     theta,
     to_fundamental,
     vec_add,
@@ -196,6 +198,15 @@ class TestRegularity:
             is_regular((1, 1, 1))
         assert err.value.code == "not-zero-sum"
 
+    def test_rank_above_the_subset_limit_is_refused(self, monkeypatch):
+        monkeypatch.setattr(vectors, "_SUBSET_RANK_LIMIT", 3)
+        assert is_regular((3, -1, -2, 0)) is False
+        assert len(subset_sums((3, -1, -2, 0))) == 8
+        for call in (is_regular, subset_sums):
+            with pytest.raises(ValidationError) as err:
+                call((4, -1, -2, 0, -1))
+            assert err.value.code == "rank-too-large"
+
     def test_brute_force_agreement(self):
         import itertools
 
@@ -270,6 +281,48 @@ class TestDominantWeight:
         # zero-mean representative of a weight can have fractional entries
         w = DominantWeight((F(1, 2), F(-1, 2)))
         assert w.fundamental() == frac_vec(1)
+
+    def test_equal_and_hashed_by_canonical(self):
+        w = DominantWeight((2, 1, -3))
+        same = DominantWeight([F(2), "1", F(-6, 2)])
+        assert w == same and hash(w) == hash(same)
+        assert len({w, same, DominantWeight((1, 0, -1))}) == 2
+        assert w != DominantWeight((1, 0, -1))
+        assert w != (2, 1, -3) and w != w.canonical
+
+    def test_repr_names_the_canonical_vector(self):
+        assert repr(DominantWeight((F(1, 2), F(-1, 2)))) == (
+            "DominantWeight(canonical=(Fraction(1, 2), Fraction(-1, 2)))")
+
+    def test_immutable(self):
+        w = DominantWeight((1, 0, -1))
+        with pytest.raises(AttributeError):
+            w.canonical = (2, 0, -2)
+        with pytest.raises(AttributeError):
+            del w.canonical
+        with pytest.raises(AttributeError):
+            w.label = "adjoint"
+        assert w.canonical == (1, 0, -1)
+
+    def test_copies_and_pickles_are_equal(self):
+        import copy
+        import pickle
+
+        w = DominantWeight((F(3, 2), F(1, 2), F(-1, 2)))
+        for other in (copy.copy(w), copy.deepcopy(w), pickle.loads(pickle.dumps(w))):
+            assert type(other) is DominantWeight and other == w
+
+    @pytest.mark.parametrize("entries, code", [
+        ((0, 1, -1), "not-dominant"),
+        ((F(1, 3), 0, F(-1, 3)), "non-integral-weight"),
+        ((1.0, -1.0), "inexact-entry"),
+        (("1.5", "-1.5"), "malformed-rational"),
+        ((1,), "bad-length"),
+    ])
+    def test_validation_codes(self, entries, code):
+        with pytest.raises(ValidationError) as err:
+            DominantWeight(entries)
+        assert err.value.code == code
 
 
 class TestArithmetic:
