@@ -3,11 +3,15 @@
 Two parities are plausible for the per-order sign of the residue sum (the
 descent count or the inversion count of the order), and two readings are
 plausible for the couple sign of the tensor sum (the product of the two
-signatures, or the parity of the product of the two lengths).  Each
-candidate is evaluated against the brute-force references on exhaustive
-small boxes; exactly one candidate of each pair survives, the library ships
-hard-wired to the survivors, and the test suite re-runs this procedure and
-writes the outcome to artifacts/sign_arbitration.json.
+signatures, or the parity of the product of the two lengths).  All four
+candidates live here and nowhere else: the engine ships only the survivors,
+the descent parity carried by residues._special_orders and the signature
+product summed by formulas.tensor_product.  Each case's terms are computed
+once, as (the permutations a sign reads, the term's unsigned value), and
+weighed by each candidate in turn against the brute-force references on
+exhaustive small boxes; exactly one candidate of each pair survives.  The
+test suite re-runs this procedure and writes the outcome to
+artifacts/sign_arbitration.json.
 """
 
 from __future__ import annotations
@@ -17,10 +21,28 @@ from itertools import product
 from pathlib import Path
 from typing import Dict, Iterable, List, Optional, Tuple
 
-from .formulas import _length_product_sign, _signature_product, tensor_product
+from .formulas import _couple_terms
+from .permutations import Permutation
 from .reference import kostant_partition_bruteforce, tensor_bruteforce_lr
-from .residues import descent_sign, inversion_sign, partition_total
-from .vectors import DominantWeight, as_vector, deform, from_fundamental, in_positive_cone, is_regular
+from .residues import _exponents, iterated_residue, kostant_partition, special_permutations
+from .vectors import DominantWeight, deform, from_fundamental, in_positive_cone, is_regular
+
+
+def descent_sign(w: Permutation) -> int:
+    return -1 if w.descents % 2 else 1
+
+
+def inversion_sign(w: Permutation) -> int:
+    return w.signature
+
+
+def signature_product(w1: Permutation, w2: Permutation) -> int:
+    return w1.signature * w2.signature
+
+
+def length_product_sign(w1: Permutation, w2: Permutation) -> int:
+    return -1 if (w1.inversions * w2.inversions) % 2 else 1
+
 
 RESIDUE_DOMAINS: Tuple[Tuple[int, int], ...] = ((2, 5), (3, 4), (4, 2))
 
@@ -36,19 +58,21 @@ def cone_box(rank: int, bound: int) -> Iterable[Tuple[int, ...]]:
             yield a
 
 
-def _arbitrate(candidates: Dict, cases: Iterable, compute, describe) -> Tuple[Dict, Optional[str]]:
-    """Run each candidate rule on (case, expected) pairs until its first wrong
-    value; returns the per-candidate record and the first survivor."""
+def _arbitrate(candidates: Dict, cases: Iterable, describe) -> Tuple[Dict, Optional[str]]:
+    """Weigh each case's terms [(rule args, value)] by each candidate rule,
+    sum(rule(*args) * value), against the case's expected count, until the
+    rule's first wrong sum; returns the per-candidate record and the first
+    survivor."""
     results = {
         name: {"passed": True, "checked": 0, "first_failure": None}
         for name in candidates
     }
-    for case, expected in cases:
+    for case, expected, terms in cases:
         for name, rule in candidates.items():
             outcome = results[name]
             if not outcome["passed"]:
                 continue
-            got = compute(case, rule)
+            got = sum(rule(*args) * value for args, value in terms)
             outcome["checked"] += 1
             if got != expected:
                 outcome["passed"] = False
@@ -57,9 +81,11 @@ def _arbitrate(candidates: Dict, cases: Iterable, compute, describe) -> Tuple[Di
     return results, selected
 
 
-def _regularised_total(a: Tuple[int, ...], sign) -> int:
-    av = as_vector(a)
-    return partition_total(av, av if is_regular(av) else deform(av), sign)
+def _residue_terms(a: Tuple[int, ...]) -> List:
+    """((w,), IRes^w) for each order w of the regularised a."""
+    exponents = _exponents(a)
+    orders = special_permutations(a if is_regular(a) else deform(a))
+    return [((w,), iterated_residue(w, exponents)) for w in orders]
 
 
 def arbitrate_residue_sign(domains: Tuple[Tuple[int, int], ...] = RESIDUE_DOMAINS) -> Dict:
@@ -68,8 +94,9 @@ def arbitrate_residue_sign(domains: Tuple[Tuple[int, int], ...] = RESIDUE_DOMAIN
         "descent-count": descent_sign,
         "inversion-count": inversion_sign,
     }
-    cases = ((a, kostant_partition_bruteforce(a)) for r, b in domains for a in cone_box(r, b))
-    results, selected = _arbitrate(candidates, cases, _regularised_total, lambda a: {"a": list(a)})
+    cases = ((a, kostant_partition_bruteforce(a), _residue_terms(a))
+             for r, b in domains for a in cone_box(r, b))
+    results, selected = _arbitrate(candidates, cases, lambda a: {"a": list(a)})
     return {
         "quantity": "per-order sign of the residue sum",
         "domains": [{"rank": r, "bound": b} for r, b in domains],
@@ -108,14 +135,15 @@ def _tensor_family() -> List[Tuple[DominantWeight, DominantWeight, DominantWeigh
 def arbitrate_couple_sign() -> Dict:
     """Check both tensor-sum sign candidates against the tableau count."""
     candidates = {
-        "signature-product": _signature_product,
-        "length-product-parity": _length_product_sign,
+        "signature-product": signature_product,
+        "length-product-parity": length_product_sign,
     }
-    cases = ((triple, tensor_bruteforce_lr(*triple)) for triple in _tensor_family())
+    cases = ((triple, tensor_bruteforce_lr(*triple),
+              [((w1, w2), kostant_partition(arg)) for w1, w2, arg in _couple_terms(*triple)])
+             for triple in _tensor_family())
     results, selected = _arbitrate(
         candidates,
         cases,
-        lambda triple, rule: tensor_product(*triple, _sign=rule),
         lambda triple: {
             key: [str(x) for x in w.canonical] for key, w in zip(("lambda", "mu", "nu"), triple)
         },

@@ -5,10 +5,13 @@ The multiplicity of a weight mu in the irreducible V(lambda) is
     sum over valid w of sign(w) * partitions(w(lambda+rho) - (mu+rho)),
 
 and the coefficient of V(nu) in V(lambda) (x) V(mu) is the same shape of sum
-over valid couples, with argument w1(lambda+rho) + w2(mu+rho) - (nu+2rho).
-"Valid" means the partition argument lands in the positive-root cone, which
-the pruned searches in permsearch guarantee by construction.  The arguments
-of one sum are counted in-process by one batched call of partition_counts.
+over valid couples, with sign sign(w1) sign(w2) and argument
+w1(lambda+rho) + w2(mu+rho) - (nu+2rho).  "Valid" means the partition
+argument lands in the positive-root cone, which the pruned searches in
+permsearch guarantee by construction.  The arguments of one sum are counted
+in-process by one batched call of partition_counts.  The couple sign is the
+only one of two plausible readings that matches the tableau oracle;
+kostant/arbitration.py weighs the terms of _couple_terms by both.
 
 Every w fixes the multiples of (1, ..., 1), so translating the weights by
 such multiples (balanced on both sides) and rho by (r/2)(1, ..., 1) leaves
@@ -27,7 +30,7 @@ N = s, 2s, ..., (d+1)s and verified at (d+2)s and (d+3)s.
 from __future__ import annotations
 
 from fractions import Fraction
-from typing import Iterable, NamedTuple, Sequence, Tuple, Union
+from typing import Iterable, List, NamedTuple, Sequence, Tuple, Union
 
 from .parallel import map_counts
 from .permsearch import valid_couples, valid_permutations
@@ -47,20 +50,6 @@ def _alternating_sum(terms: Iterable[Tuple[int, Tuple[int, ...]]]) -> int:
     terms = list(terms)
     values = map_counts(partition_counts, [arg for _, arg in terms])
     return sum(sign * value for (sign, _), value in zip(terms, values))
-
-
-def _signature_product(w1: Permutation, w2: Permutation) -> int:
-    return w1.signature * w2.signature
-
-
-def _length_product_sign(w1: Permutation, w2: Permutation) -> int:
-    return -1 if (w1.inversions * w2.inversions) % 2 else 1
-
-
-# The couple sign in the tensor sum.  Arbitrated against the tableau oracle
-# (see kostant/arbitration.py); the product of the individual signatures is
-# the convention that survives.
-COUPLE_SIGN = _signature_product
 
 
 def multiplicity(lam, mu: Sequence) -> int:
@@ -88,22 +77,25 @@ def multiplicity(lam, mu: Sequence) -> int:
     return total
 
 
-def tensor_product(lam, mu, nu, *, _sign=None) -> int:
-    """Coefficient of V(nu) in V(lam) (x) V(mu); all three weights dominant."""
+def _couple_terms(lam, mu, nu) -> List[Tuple[Permutation, Permutation, Tuple[int, ...]]]:
+    """(w1, w2, partition argument) of each valid couple of the tensor sum,
+    and none when lam + mu - nu is off the root lattice."""
     lam, mu, nu = weight_triple(lam, mu, nu)
     shift1, shift2 = lam.canonical[-1], mu.canonical[-1]
     if (shift1 + shift2 - nu.canonical[-1]).denominator != 1:
-        return 0
-    sign_rule = _sign or COUPLE_SIGN
+        return []
     u1 = _lift(lam.canonical, shift1, 1)
     u2 = _lift(mu.canonical, shift2, 1)
     target = _lift(nu.canonical, shift1 + shift2, 2)
-    total = _alternating_sum(
-        (sign_rule(w1, w2),
-         tuple(u1[i - 1] + u2[j - 1] - t for i, j, t in zip(w1.images, w2.images, target)))
-        for w1, w2 in valid_couples(u1, u2, target)
-    )
-    if _sign is None and total < 0:
+    return [(w1, w2, tuple(u1[i - 1] + u2[j - 1] - t for i, j, t in zip(w1.images, w2.images, target)))
+            for w1, w2 in valid_couples(u1, u2, target)]
+
+
+def tensor_product(lam, mu, nu) -> int:
+    """Coefficient of V(nu) in V(lam) (x) V(mu); all three weights dominant."""
+    total = _alternating_sum((w1.signature * w2.signature, arg)
+                             for w1, w2, arg in _couple_terms(lam, mu, nu))
+    if total < 0:
         raise AssertionError("alternating tensor sum came out negative")
     return total
 

@@ -8,16 +8,16 @@ from typing import Sequence, Tuple
 class Permutation:
     """A permutation w stored by its images (w(1), ..., w(m)), 1-based."""
 
-    __slots__ = ("images", "_inversions", "_descents")
+    __slots__ = ("images", "_inversions")
 
     def __init__(self, images: Sequence[int]):
         images = tuple(images)
         m = len(images)
-        if sorted(images) != list(range(1, m + 1)):
+        # by type, not value: 2.0 == 2 and True == 1, but neither is an int image
+        if any(type(i) is not int for i in images) or sorted(images) != list(range(1, m + 1)):
             raise ValueError(f"not a permutation of 1..{m}: {images!r}")
         self.images = images
         self._inversions = None
-        self._descents = None
 
     @classmethod
     def identity(cls, m: int) -> "Permutation":
@@ -28,7 +28,7 @@ class Permutation:
         """A permutation from a search that built its images and counted their
         inversions along the way; neither is checked or recounted."""
         w = cls.__new__(cls)
-        w.images, w._inversions, w._descents = images, inversions, None
+        w.images, w._inversions = images, inversions
         return w
 
     def __len__(self) -> int:
@@ -62,10 +62,7 @@ class Permutation:
     @property
     def descents(self) -> int:
         """Number of positions i with w(i) > w(i+1)."""
-        if self._descents is None:
-            imgs = self.images
-            self._descents = sum(1 for i in range(len(imgs) - 1) if imgs[i] > imgs[i + 1])
-        return self._descents
+        return sum(x > y for x, y in zip(self.images, self.images[1:]))
 
     @property
     def signature(self) -> int:

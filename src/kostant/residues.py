@@ -9,7 +9,10 @@ e_i - e_j (i < j) equals an alternating sum of iterated residues at z = 0 of
             z_1 z_2 ... z_r  *  prod_{i<j} (z_i - z_j)
 
 taken over a pruned set of variable orders (the "special" permutations of
-the regularised vector), each weighted by a sign.  Residues are extracted
+the regularised vector), the residue for an order w weighted by
+(-1)^(descents of w).  The order search carries that parity, and
+kostant/arbitration.py re-derives the sign against its only rival, the
+inversion parity, on exhaustive boxes.  Residues are extracted
 one variable at a time, and each step needs only the coefficients below the
 pole order of the active variable, so the cost never depends on the sizes of
 the entries of a.  Only the exponents differ between vectors of one rank, so
@@ -28,7 +31,7 @@ from functools import lru_cache
 from itertools import accumulate
 from math import comb
 from operator import add, mul
-from typing import Callable, List, Sequence, Tuple
+from typing import List, Sequence, Tuple
 
 from .permutations import Permutation
 from .vectors import ValidationError, int_entries, root_vector, scaled_ints, subset_sums
@@ -61,31 +64,37 @@ def _chamber(a: Sequence[int]) -> bytes:
 
 @lru_cache(maxsize=4096)
 def _special_orders(chamber: bytes) -> Tuple[Tuple[Tuple[int, ...], int], ...]:
-    """(images, TERM_SIGN) of each special order of the vectors in a chamber.
+    """(images, sign) of each special order w of the vectors in a chamber.
 
     A permutation w of {1, ..., r} qualifies when, for each i < r, the sign
     of the partial sum a_{w(1)} + ... + a_{w(i)} dictates the step: w(i) <
     w(i+1) if the sum is >= 0 and w(i) > w(i+1) otherwise.  A prefix's set of
-    positions is its bit mask, so its sign is chamber[mask >> 1].  Built by
-    prefix extension with pruning; the full factorial set is never
-    materialised.  Cached per process: every vector of a chamber shares it.
+    positions is its bit mask, so its sign is chamber[mask >> 1], and a step
+    is a descent exactly when that byte is 0.  Each prefix carries the parity
+    of its descents, so the sign of a term, (-1)^(descents of w), costs
+    nothing.  Built by prefix extension with pruning; the full factorial set
+    is never materialised.  Cached per process: every vector of a chamber
+    shares it.
 
     For integral a these are also the orders of deform(a), regular or not:
     the deformation adds i/(2r) to a partial sum of i < r entries, which
     keeps a non-negative integer sum non-negative and a negative one negative.
     """
     r = len(chamber).bit_length() - 1
-    frontier = [((i,), 1 << i) for i in range(1, r + 1)]
+    frontier = [((i,), 1 << i, 1) for i in range(1, r + 1)]
     for _ in range(r - 1):
         extended = []
-        for prefix, mask in frontier:
+        for prefix, mask, sign in frontier:
             last = prefix[-1]
-            candidates = range(last + 1, r + 1) if chamber[mask >> 1] else range(1, last)
+            if chamber[mask >> 1]:
+                candidates = range(last + 1, r + 1)
+            else:
+                candidates, sign = range(1, last), -sign
             for j in candidates:
                 if not (mask >> j) & 1:
-                    extended.append((prefix + (j,), mask | (1 << j)))
+                    extended.append((prefix + (j,), mask | (1 << j), sign))
         frontier = extended
-    orders = ((prefix, TERM_SIGN(Permutation(prefix))) for prefix, _ in frontier)
+    orders = ((prefix, sign) for prefix, _, sign in frontier)
     return tuple(_SHARED.setdefault(order, order) for order in orders)
 
 
@@ -251,45 +260,27 @@ def iterated_residue_by_substitution(w: Permutation, exponents: Sequence[int]):
     return w.signature * _residue_sum([permuted], [[(tuple(range(1, len(w) + 1)), 1)]])[0]
 
 
-def descent_sign(w: Permutation) -> int:
-    return -1 if w.descents % 2 else 1
-
-
-def inversion_sign(w: Permutation) -> int:
-    return w.signature
-
-
-# The per-order sign in the alternating residue sum.  Two parities are
-# plausible a priori (descents vs. inversions of w); the arbitration module
-# checks both against the brute-force count on exhaustive boxes and the
-# descent parity is the one that survives.  See kostant/arbitration.py.
-# `_special_orders` stores it with each order, once per chamber.
-TERM_SIGN: Callable[[Permutation], int] = descent_sign
-
-
 def _exponents(a: Tuple[int, ...]) -> List[int]:
     r = len(a) - 1
     return [a[k] + r - 1 - k for k in range(r)]
 
 
-def partition_total(a: Sequence, regularised: Sequence,
-                    term_sign: Callable[[Permutation], int] = None):
+def partition_total(a: Sequence, regularised: Sequence):
     """The alternating residue sum for a, with orders drawn from `regularised`.
 
-    Exposed separately so that (i) deformation insensitivity for already
-    regular vectors and (ii) candidate sign conventions can be exercised
-    directly.  `a` supplies the integrand exponents and is checked by
-    root_vector, so a non-integral entry is refused, not truncated;
-    `regularised`, of the same length (bad-length otherwise), only selects
-    the set of residue orders and must be regular
-    for the descent/ascent tests to be unambiguous.
+    Exposed separately so that deformation insensitivity can be exercised
+    directly: a regular vector, or any vector of its chamber, selects the
+    same orders as its deformation.  `a` supplies the integrand exponents
+    and is checked by root_vector, so a non-integral entry is refused, not
+    truncated; `regularised`, of the same length (bad-length otherwise), only
+    selects the orders by its chamber.  It need not be regular: a zero
+    subset sum reads as non-negative, as it does in the deformation of an
+    integral vector, so for integral a, partition_total(a, a) equals
+    partition_total(a, deform(a)).
     """
     regularised, = scaled_ints(regularised)
     exponents = _sized(_exponents(root_vector(a)), len(regularised) - 1)
-    orders = _special_orders(_chamber(regularised))
-    if term_sign is not None:
-        orders = [(images, term_sign(Permutation(images))) for images, _ in orders]
-    return _residue_sum([exponents], [orders])[0]
+    return _residue_sum([exponents], [_special_orders(_chamber(regularised))])[0]
 
 
 CacheInfo = namedtuple("CacheInfo", "hits misses maxsize currsize")

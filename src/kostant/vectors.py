@@ -20,6 +20,7 @@ from __future__ import annotations
 
 import re
 import sys
+from collections import namedtuple
 from fractions import Fraction
 from itertools import accumulate, combinations
 from math import lcm
@@ -88,16 +89,8 @@ def scaled_ints(*vectors: Sequence) -> List[Tuple[int, ...]]:
     return [tuple(x.numerator * (scale // x.denominator) for x in v) for v in vectors]
 
 
-def rank_of(v: Sequence) -> int:
-    return len(v) - 1
-
-
 def vec_add(u: Vector, v: Vector) -> Vector:
     return tuple(_exact(a + b) for a, b in zip(u, v, strict=True))
-
-
-def vec_sub(u: Vector, v: Vector) -> Vector:
-    return tuple(_exact(a - b) for a, b in zip(u, v, strict=True))
 
 
 def vec_scale(v: Vector, c) -> Vector:
@@ -199,7 +192,7 @@ def deform(a: Sequence) -> Vector:
     the deformed point without changing the count.
     """
     a = root_vector(a)
-    r = rank_of(a)
+    r = len(a) - 1
     eps = Fraction(1, 2 * r)
     return tuple(a[i] + eps for i in range(r)) + (a[r] - r * eps,)
 
@@ -216,16 +209,16 @@ def theta(r: int) -> "DominantWeight":
     return DominantWeight(tuple(range(r, 0, -1)) + (-r * (r + 1) // 2,))
 
 
-class DominantWeight:
+class DominantWeight(namedtuple("DominantWeight", "canonical")):
     """A weight with non-negative integer fundamental coordinates.
 
-    Immutable, and equal (with equal hashes) exactly when the canonical
-    vectors are equal.
+    A named tuple of one field, the canonical vector, checked in __new__, so
+    copies, pickles and _replace, which all build through it, are checked too.
     """
 
-    __slots__ = ("canonical",)
+    __slots__ = ()
 
-    def __init__(self, canonical: Sequence):
+    def __new__(cls, canonical: Sequence):
         v = as_vector(canonical)
         for i in range(len(v) - 1):
             d = v[i] - v[i + 1]
@@ -233,27 +226,11 @@ class DominantWeight:
                 raise ValidationError("non-integral-weight", f"consecutive difference {i + 1} is not an integer")
             if d < 0:
                 raise ValidationError("not-dominant", f"consecutive difference {i + 1} is negative")
-        object.__setattr__(self, "canonical", v)
+        return super().__new__(cls, v)
 
-    def __setattr__(self, name, value):
-        raise AttributeError(f"cannot assign to field {name!r}: DominantWeight is immutable")
-
-    def __delattr__(self, name):
-        raise AttributeError(f"cannot delete field {name!r}: DominantWeight is immutable")
-
-    def __eq__(self, other):
-        if other.__class__ is not self.__class__:
-            return NotImplemented
-        return self.canonical == other.canonical
-
-    def __hash__(self) -> int:
-        return hash(self.canonical)
-
-    def __repr__(self) -> str:
-        return f"DominantWeight(canonical={self.canonical!r})"
-
-    def __reduce__(self):  # copy and pickle rebuild through __init__, not attribute assignment
-        return DominantWeight, (self.canonical,)
+    @classmethod
+    def _make(cls, iterable):  # _replace builds through _make, so it is checked too
+        return cls(*iterable)
 
     @property
     def rank(self) -> int:
@@ -264,10 +241,6 @@ class DominantWeight:
 
     def scaled(self, n: int) -> "DominantWeight":
         return DominantWeight(vec_scale(self.canonical, n))
-
-
-def prefix_sums(v: Sequence[Exact]) -> Tuple[Exact, ...]:
-    return tuple(accumulate(v))
 
 
 def dominant(lam) -> DominantWeight:

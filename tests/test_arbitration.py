@@ -33,6 +33,22 @@ def test_couple_sign_selected(sign_gates):
     assert loser["passed"] is False
 
 
+def test_whole_record_is_pinned(sign_gates):
+    # every count and first counterexample, not only the survivors
+    residue = sign_gates["residue_term_sign"]["candidates"]
+    assert residue == {
+        "descent-count": {"passed": True, "checked": 311, "first_failure": None},
+        "inversion-count": {"passed": False, "checked": 67,
+                            "first_failure": {"a": [1, 0, -1, 0], "expected": 2, "got": 6}},
+    }
+    couple = sign_gates["couple_sign"]["candidates"]
+    assert couple == {
+        "signature-product": {"passed": True, "checked": 769, "first_failure": None},
+        "length-product-parity": {"passed": False, "checked": 5, "first_failure": {
+            "lambda": ["0", "0"], "mu": ["1", "-1"], "nu": ["0", "0"], "expected": 0, "got": 2}},
+    }
+
+
 def test_cone_box_contents():
     pts = list(cone_box(2, 2))
     assert (0, 0, 0) in pts

@@ -1,6 +1,7 @@
 """Permutation statistics used by the residue and search machinery."""
 
 import itertools
+from fractions import Fraction
 
 import pytest
 from hypothesis import given, strategies as st
@@ -23,6 +24,12 @@ class TestConstruction:
     def test_rejects_wrong_range(self):
         with pytest.raises(ValueError):
             Permutation((0, 1, 2))
+
+    @pytest.mark.parametrize("images", [(2.0, 1.0), (True,), (1, 2.0), (Fraction(1),)])
+    def test_rejects_images_that_are_not_ints(self, images):
+        # each compares equal to the images of a permutation: only the type tells
+        with pytest.raises(ValueError, match="not a permutation"):
+            Permutation(images)
 
 
 class TestStatistics:

@@ -9,6 +9,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from kostant import residues
+from kostant.arbitration import descent_sign
 from kostant.formulas import multiplicity, tensor_product
 from kostant.permutations import Permutation
 from kostant.reference import kostant_partition_bruteforce
@@ -21,8 +22,6 @@ from kostant.residues import (
     _residue_step,
     _special_orders,
     binomial,
-    descent_sign,
-    inversion_sign,
     iterated_residue,
     iterated_residue_by_substitution,
     kostant_partition,
@@ -185,11 +184,11 @@ class TestPartitionTotal:
             partition_total(a, regularised)
         assert err.value.code == "bad-length"
 
-    def test_term_sign_override(self, sign_gates):
-        a = deform((1, 0, -1, 0))
-        base = partition_total((1, 0, -1, 0), a)
-        assert base == partition_total((1, 0, -1, 0), a, term_sign=descent_sign)
-        assert base != partition_total((1, 0, -1, 0), a, term_sign=inversion_sign)
+    def test_orders_from_a_non_regular_vector(self):
+        # A zero subset sum reads as non-negative, as in the deformation.
+        assert partition_total((1, 0, -1), (1, -1, 0)) == 2 == kostant_partition((1, 0, -1))
+        assert partition_total((1, 0, -1, 0), (1, 0, -1, 0)) == partition_total(
+            (1, 0, -1, 0), deform((1, 0, -1, 0))) == 2
 
 
 class TestKostantPartition:
@@ -496,6 +495,15 @@ class TestChamberOrders:
         info = _special_orders.cache_info()
         assert info.misses == info.currsize == 2 + 6 + 32 + 370 + 1592
         assert info.hits == 2 * len(vectors) - info.misses
+
+    def test_search_carries_its_signs_without_permutations(self, monkeypatch):
+        def no_permutation(images):
+            raise AssertionError(f"built Permutation({images!r})")
+
+        monkeypatch.setattr(residues, "Permutation", no_permutation)
+        _special_orders.cache_clear()
+        orders = _special_orders(_chamber((-1, 2, -3, 4, -5, 3)))
+        assert len(orders) == 4 and {sign for _, sign in orders} == {1, -1}
 
     @pytest.mark.parametrize("r, args, chambers", [(4, 16, 2), (5, 66, 5), (6, 402, 19)])
     def test_theta_arguments_fall_into_few_chambers(self, r, args, chambers):
