@@ -14,7 +14,7 @@ from .formulas import (
     tensor_polynomial,
     tensor_product,
 )
-from .permsearch import valid_couples, valid_permutations
+from .permsearch import BudgetExceeded, valid_couples, valid_permutations
 from .permutations import Permutation
 from .residues import (
     iterated_residue,
@@ -41,6 +41,7 @@ from .vectors import (
 __version__ = "0.1.0"
 
 __all__ = [
+    "BudgetExceeded",
     "DominantWeight",
     "Permutation",
     "RayFitFailure",

@@ -2,16 +2,17 @@
 
 Two parities are plausible for the per-order sign of the residue sum (the
 descent count or the inversion count of the order), and two readings are
-plausible for the couple sign of the tensor sum (the product of the two
-signatures, or the parity of the product of the two lengths).  All four
-candidates live here and nowhere else: the engine ships only the survivors,
-the descent parity carried by residues._special_orders and the signature
-product summed by formulas.tensor_product.  Each case's terms are computed
-once, as (the permutations a sign reads, the term's unsigned value), and
-weighed by each candidate in turn against the brute-force references on
-exhaustive small boxes; exactly one candidate of each pair survives.  The
-test suite re-runs this procedure and writes the outcome to
-artifacts/sign_arbitration.json.
+plausible for the couple sign of Steinberg's tensor sum (the product of the
+two signatures, or the parity of the product of the two lengths).  All four
+candidates live here and nowhere else.  The engine ships the surviving
+residue sign, the descent parity carried by residues._special_orders; its
+tensor coefficients are a Brauer-Klimyk sum with the single sign sign(w),
+so Steinberg's couple terms (_couple_terms) are built here only, to be
+weighed.  Each case's terms are computed once, as (the permutations a sign
+reads, the term's unsigned value), and weighed by each candidate in turn
+against the brute-force references on exhaustive small boxes; exactly one
+candidate of each pair survives.  The test suite re-runs this procedure and
+writes the outcome to artifacts/sign_arbitration.json.
 """
 
 from __future__ import annotations
@@ -21,11 +22,12 @@ from itertools import product
 from pathlib import Path
 from typing import Dict, Iterable, List, Optional, Tuple
 
-from .formulas import _couple_terms
+from .formulas import _ints, _plus_rho
+from .permsearch import valid_couples
 from .permutations import Permutation
 from .reference import kostant_partition_bruteforce, tensor_bruteforce_lr
 from .residues import _exponents, iterated_residue, kostant_partition, special_permutations
-from .vectors import DominantWeight, deform, from_fundamental, in_positive_cone, is_regular
+from .vectors import DominantWeight, deform, from_fundamental, in_positive_cone, is_regular, weight_triple
 
 
 def descent_sign(w: Permutation) -> int:
@@ -103,6 +105,21 @@ def arbitrate_residue_sign(domains: Tuple[Tuple[int, int], ...] = RESIDUE_DOMAIN
         "candidates": results,
         "selected": selected,
     }
+
+
+def _couple_terms(lam, mu, nu) -> List[Tuple[Permutation, Permutation, Tuple[int, ...]]]:
+    """(w1, w2, partition argument) of each valid couple of Steinberg's tensor
+    sum, whose argument is w1(lam+rho) + w2(mu+rho) - (nu+2rho), and none
+    when lam + mu - nu is off the root lattice."""
+    lam, mu, nu = weight_triple(lam, mu, nu)
+    shift1, shift2 = lam.canonical[-1], mu.canonical[-1]
+    if (shift1 + shift2 - nu.canonical[-1]).denominator != 1:
+        return []
+    u1 = _plus_rho(_ints(lam.canonical, shift1))
+    u2 = _plus_rho(_ints(mu.canonical, shift2))
+    target = _plus_rho(_ints(nu.canonical, shift1 + shift2), 2)
+    return [(w1, w2, tuple(u1[i - 1] + u2[j - 1] - t for i, j, t in zip(w1.images, w2.images, target)))
+            for w1, w2 in valid_couples(u1, u2, target)]
 
 
 def _tensor_family() -> List[Tuple[DominantWeight, DominantWeight, DominantWeight]]:

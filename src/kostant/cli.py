@@ -28,7 +28,8 @@ that meets the root lattice only at the multiples of a step s > 1 gets
 at N = s, 2s, ... and every other N has value 0.  A ray whose counts fit no
 polynomial prints "fit-failed[<reason>]:<values>".
 Exit codes: 0 success, 2 invalid input, 3 oracle disagreement,
-4 resource exhaustion, 5 an internal error.  Single commands and batch
+4 resource exhaustion (budget-exceeded for a search past its frontier
+limit), 5 an internal error.  Single commands and batch
 records map failures to the same codes (_failure): a single command prints
 the error as one JSON line on stderr, a batch record gets it as its result
 line and the stream goes on.  Every batch error carries "line", the 1-based
@@ -50,6 +51,7 @@ from .formulas import (
     tensor_polynomial,
     tensor_product,
 )
+from .permsearch import BudgetExceeded
 from .residues import kostant_partition
 from .vectors import (
     DominantWeight,
@@ -211,6 +213,8 @@ def _failure(exc: Exception) -> Tuple[dict, int]:
     """The error object and exit code of an exception raised by a query."""
     if isinstance(exc, ValidationError):
         return {"error": exc.code, "message": str(exc)}, EXIT_INVALID
+    if isinstance(exc, BudgetExceeded):
+        return {"error": exc.code, "message": str(exc)}, EXIT_RESOURCE
     if isinstance(exc, (MemoryError, RecursionError, OSError)):
         return {"error": "resource-exhausted", "message": str(exc)}, EXIT_RESOURCE
     # a fault inside the library: reported, never a traceback

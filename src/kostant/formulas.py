@@ -1,17 +1,27 @@
 """Weight multiplicities and tensor coefficients as alternating partition sums.
 
-The multiplicity of a weight mu in the irreducible V(lambda) is
+The multiplicity of a weight mu in the irreducible V(lambda) is Kostant's
 
-    sum over valid w of sign(w) * partitions(w(lambda+rho) - (mu+rho)),
+    m_lambda(mu) = sum over valid w of sign(w) * partitions(w(lambda+rho) - (mu+rho)),
 
-and the coefficient of V(nu) in V(lambda) (x) V(mu) is the same shape of sum
-over valid couples, with sign sign(w1) sign(w2) and argument
-w1(lambda+rho) + w2(mu+rho) - (nu+2rho).  "Valid" means the partition
-argument lands in the positive-root cone, which the pruned searches in
-permsearch guarantee by construction.  The arguments of one sum are counted
-in-process by one batched call of partition_counts.  The couple sign is the
-only one of two plausible readings that matches the tableau oracle;
-kostant/arbitration.py weighs the terms of _couple_terms by both.
+where "valid" means the partition argument lands in the positive-root cone,
+which the pruned search valid_permutations guarantees by construction.  The
+multiplicity is constant on Weyl orbits, m_lambda(mu) = m_lambda(w mu), so
+mu is sorted to its dominant form first, which has the fewest terms.
+
+The coefficient of V(nu) in V(lambda) (x) V(mu) is the Brauer-Klimyk
+(Racah-Speiser) sum of multiplicities
+
+    sum over w of sign(w) * m_lambda(w(nu+rho) - (mu+rho)),
+
+over the w whose argument gamma is a weight of V(lambda) at all, as
+permsearch.weyl_candidates finds them.  The w are grouped by the dominant
+form of gamma, their signs added, and each gamma left with a non-zero sign
+contributes the Kostant terms of its multiplicity, so one coefficient is
+one alternating partition sum.  (The paper's form, Steinberg's double sum
+over couples (w1, w2), has many times the terms; kostant/arbitration.py
+keeps it to arbitrate its couple sign.)  The arguments of one sum are
+counted in-process by one batched call of partition_counts.
 
 Every w fixes the multiples of (1, ..., 1), so translating the weights by
 such multiples (balanced on both sides) and rho by (r/2)(1, ..., 1) leaves
@@ -33,16 +43,23 @@ from fractions import Fraction
 from typing import Iterable, List, NamedTuple, Sequence, Tuple, Union
 
 from .parallel import map_counts
-from .permsearch import valid_couples, valid_permutations
-from .permutations import Permutation
+from .permsearch import valid_permutations, weyl_candidates
 from .residues import partition_counts
 from .vectors import Exact, _exact, weight_pair, weight_triple
 
 
-def _lift(weight: Sequence[Exact], shift: Exact, rho_multiple: int) -> Tuple[int, ...]:
-    """weight - shift*(1, ..., 1) + rho_multiple*(r, r-1, ..., 0), as ints."""
-    r = len(weight) - 1
-    return tuple(int(x - shift) + rho_multiple * (r - i) for i, x in enumerate(weight))
+def _ints(weight: Sequence[Exact], shift: Exact) -> List[int]:
+    """weight - shift*(1, ..., 1) as ints.  Each entry differs from shift by
+    an integer, so it has shift's denominator d, and the difference is the
+    difference of the numerators over d: no Fraction arithmetic."""
+    n, d = shift.numerator, shift.denominator
+    return [(x.numerator - n) // d for x in weight]
+
+
+def _plus_rho(v: Sequence[int], multiple: int = 1) -> Tuple[int, ...]:
+    """v + multiple*(r, r-1, ..., 0)."""
+    r = len(v) - 1
+    return tuple(x + multiple * (r - i) for i, x in enumerate(v))
 
 
 def _alternating_sum(terms: Iterable[Tuple[int, Tuple[int, ...]]]) -> int:
@@ -50,6 +67,13 @@ def _alternating_sum(terms: Iterable[Tuple[int, Tuple[int, ...]]]) -> int:
     terms = list(terms)
     values = map_counts(partition_counts, [arg for _, arg in terms])
     return sum(sign * value for (sign, _), value in zip(terms, values))
+
+
+def _kostant_terms(u: Tuple[int, ...], v: Tuple[int, ...]) -> List[Tuple[int, Tuple[int, ...]]]:
+    """(sign(w), w(u) - v) for each valid w: the Kostant sum of the lifts
+    u = lam + rho and v = mu + rho."""
+    return [(w.signature, tuple(u[i - 1] - b for i, b in zip(w.images, v)))
+            for w in valid_permutations(u, v)]
 
 
 def multiplicity(lam, mu: Sequence) -> int:
@@ -66,35 +90,30 @@ def multiplicity(lam, mu: Sequence) -> int:
     shift = lam.canonical[-1]
     if (shift - mu[-1]).denominator != 1:
         return 0
-    u = _lift(lam.canonical, shift, 1)
-    v = _lift(mu, shift, 1)
-    total = _alternating_sum(
-        (w.signature, tuple(u[i - 1] - b for i, b in zip(w.images, v)))
-        for w in valid_permutations(u, v)
-    )
+    u = _plus_rho(_ints(lam.canonical, shift))
+    # m_lam(mu) = m_lam(w mu): the dominant form of mu, sorted as ints
+    v = _plus_rho(sorted(_ints(mu, shift), reverse=True))
+    total = _alternating_sum(_kostant_terms(u, v))
     if total < 0:
         raise AssertionError("alternating multiplicity sum came out negative")
     return total
 
 
-def _couple_terms(lam, mu, nu) -> List[Tuple[Permutation, Permutation, Tuple[int, ...]]]:
-    """(w1, w2, partition argument) of each valid couple of the tensor sum,
-    and none when lam + mu - nu is off the root lattice."""
+def tensor_product(lam, mu, nu) -> int:
+    """Coefficient of V(nu) in V(lam) (x) V(mu); all three weights dominant."""
     lam, mu, nu = weight_triple(lam, mu, nu)
     shift1, shift2 = lam.canonical[-1], mu.canonical[-1]
     if (shift1 + shift2 - nu.canonical[-1]).denominator != 1:
-        return []
-    u1 = _lift(lam.canonical, shift1, 1)
-    u2 = _lift(mu.canonical, shift2, 1)
-    target = _lift(nu.canonical, shift1 + shift2, 2)
-    return [(w1, w2, tuple(u1[i - 1] + u2[j - 1] - t for i, j, t in zip(w1.images, w2.images, target)))
-            for w1, w2 in valid_couples(u1, u2, target)]
-
-
-def tensor_product(lam, mu, nu) -> int:
-    """Coefficient of V(nu) in V(lam) (x) V(mu); all three weights dominant."""
-    total = _alternating_sum((w1.signature * w2.signature, arg)
-                             for w1, w2, arg in _couple_terms(lam, mu, nu))
+        return 0
+    lam_ints = _ints(lam.canonical, shift1)
+    candidates = weyl_candidates(lam_ints, _plus_rho(_ints(nu.canonical, shift1 + shift2)),
+                                 _plus_rho(_ints(mu.canonical, shift2)))
+    weights: dict = {}  # dominant gamma -> the sum of the signs of its w
+    for sign, gamma in candidates:
+        weights[gamma] = weights.get(gamma, 0) + sign
+    u = _plus_rho(lam_ints)
+    total = _alternating_sum((c * sign, arg) for gamma, c in weights.items() if c
+                             for sign, arg in _kostant_terms(u, _plus_rho(gamma)))
     if total < 0:
         raise AssertionError("alternating tensor sum came out negative")
     return total

@@ -13,6 +13,12 @@ no longer satisfy the current inequality are never extended, so the
 factorial set is never materialised.  Each prefix also carries its inversion
 count (appending i adds the number of larger entries already placed), so no
 result recounts it for its signature.
+
+The tensor sum searches a third set the same way: the w for which
+w(a) - b is a weight of V(lam) (Brauer-Klimyk), pruned on each entry and
+each partial sum, on the int lifts formulas builds.  Every search refuses a
+frontier of more than FRONTIER_LIMIT prefixes with BudgetExceeded, so a
+query too large to answer fails fast instead of running without bound.
 """
 
 from __future__ import annotations
@@ -23,6 +29,24 @@ from typing import List, Sequence, Tuple
 
 from .permutations import Permutation
 from .vectors import ValidationError, scaled_ints
+
+# The most prefixes any search keeps between two positions.  The benchmark's
+# queries peak at 402 (theta(6)) and the test suite at 10944 (a rank-4 couple
+# search); theta(7)'s multiplicity reaches 2466, theta(8)'s 19824 and
+# theta(9)'s 162192, which takes a second to build.
+FRONTIER_LIMIT = 16384
+
+
+class BudgetExceeded(RuntimeError):
+    """A search refused past FRONTIER_LIMIT prefixes, tagged with its code."""
+
+    code = "budget-exceeded"
+
+
+def _bounded(frontier: list) -> list:
+    if len(frontier) > FRONTIER_LIMIT:
+        raise BudgetExceeded(f"the search frontier passed {FRONTIER_LIMIT} prefixes; the query is too large")
+    return frontier
 
 
 def valid_permutations(u: Sequence, v: Sequence) -> List[Permutation]:
@@ -54,7 +78,7 @@ def valid_permutations(u: Sequence, v: Sequence) -> List[Permutation]:
                     break
                 extended.append((prefix + (i,), mask | (1 << i), s_next,
                                  inv + (mask >> i).bit_count()))
-        frontier = extended
+        frontier = _bounded(extended)
     found = sorted((p, inv) for p, _, _, inv in frontier)
     return [Permutation._searched(p, inv) for p, inv in found]
 
@@ -96,7 +120,44 @@ def valid_couples(u1: Sequence, u2: Sequence, v: Sequence) -> List[Tuple[Permuta
                         break
                     extended.append((q1, p2 + (j,), n1, m2 | (1 << j), s2,
                                      i1, inv2 + (m2 >> j).bit_count()))
-        frontier = extended
+        frontier = _bounded(extended)
     found = sorted((p1, p2, inv1, inv2) for p1, p2, _, _, _, inv1, inv2 in frontier)
     return [(Permutation._searched(p1, inv1), Permutation._searched(p2, inv2))
             for p1, p2, inv1, inv2 in found]
+
+
+def weyl_candidates(lam: Sequence[int], a: Sequence[int], b: Sequence[int]) -> List[Tuple[int, Tuple[int, ...]]]:
+    """(sign(w), gamma sorted) for each w with gamma = w(a) - b a weight of V(lam).
+
+    Ints only, unchecked, as formulas builds them: lam non-increasing, a
+    non-increasing and sum(a) - sum(b) = sum(lam).  An int vector of lam's
+    sum is a weight exactly when its sorted form is dominated by lam, so a
+    prefix needs each entry in [lam_min, lam_max] and its sum of k entries
+    between the k smallest and the k largest of lam; the full dominance
+    check waits for the leaves.  Candidates are visited in decreasing a, so
+    gamma's next entry only falls along the loop.
+    """
+    top = list(accumulate(lam))
+    bottom = list(accumulate(reversed(lam)))
+    high, low = lam[0], lam[-1]
+    frontier: List[Tuple[Tuple[int, ...], int, int, int]] = [((), 0, 0, 0)]  # gamma prefix, mask, sum, inversions
+    for k, y in enumerate(b):
+        floor, ceiling = bottom[k], top[k]
+        extended = []
+        for prefix, mask, s, inv in frontier:
+            for i, x in enumerate(a, 1):
+                if (mask >> i) & 1:
+                    continue
+                g = x - y
+                if g > high or s + g > ceiling:
+                    continue
+                if g < low or s + g < floor:
+                    break
+                extended.append((prefix + (g,), mask | (1 << i), s + g, inv + (mask >> i).bit_count()))
+        frontier = _bounded(extended)
+    found = []
+    for gamma, _, _, inv in frontier:
+        gamma = tuple(sorted(gamma, reverse=True))
+        if all(s <= t for s, t in zip(accumulate(gamma), top)):
+            found.append((-1 if inv % 2 else 1, gamma))
+    return found

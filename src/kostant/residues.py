@@ -98,13 +98,21 @@ def _special_orders(chamber: bytes) -> Tuple[Tuple[Tuple[int, ...], int], ...]:
     return tuple(_SHARED.setdefault(order, order) for order in orders)
 
 
+def _order_chamber(a: Tuple[int, ...]) -> bytes:
+    """The chamber of an order-selecting vector, refused with not-zero-sum
+    unless its entries sum to zero (the chamber reads the first r only)."""
+    if sum(a):
+        raise ValidationError("not-zero-sum", "the order-selecting vector must sum to zero")
+    return _chamber(a)
+
+
 def special_permutations(a: Sequence) -> List[Permutation]:
     """The variable orders that carry the residue formula for the vector a.
 
     Rational entries are scaled to integers by a positive common denominator,
     which leaves the sign of every partial sum, and so the orders, unchanged.
     """
-    return [Permutation(images) for images, _ in _special_orders(_chamber(*scaled_ints(a)))]
+    return [Permutation(images) for images, _ in _special_orders(_order_chamber(*scaled_ints(a)))]
 
 
 def _shifts(total: int, others: int) -> Tuple[Tuple[int, Tuple[int, ...]], ...]:
@@ -272,15 +280,15 @@ def partition_total(a: Sequence, regularised: Sequence):
     directly: a regular vector, or any vector of its chamber, selects the
     same orders as its deformation.  `a` supplies the integrand exponents
     and is checked by root_vector, so a non-integral entry is refused, not
-    truncated; `regularised`, of the same length (bad-length otherwise), only
-    selects the orders by its chamber.  It need not be regular: a zero
-    subset sum reads as non-negative, as it does in the deformation of an
-    integral vector, so for integral a, partition_total(a, a) equals
-    partition_total(a, deform(a)).
+    truncated; `regularised`, of the same length (bad-length otherwise) and
+    summing to zero (not-zero-sum otherwise), only selects the orders by its
+    chamber.  It need not be regular: a zero subset sum reads as
+    non-negative, as it does in the deformation of an integral vector, so
+    for integral a, partition_total(a, a) equals partition_total(a, deform(a)).
     """
     regularised, = scaled_ints(regularised)
     exponents = _sized(_exponents(root_vector(a)), len(regularised) - 1)
-    return _residue_sum([exponents], [_special_orders(_chamber(regularised))])[0]
+    return _residue_sum([exponents], [_special_orders(_order_chamber(regularised))])[0]
 
 
 CacheInfo = namedtuple("CacheInfo", "hits misses maxsize currsize")

@@ -505,6 +505,35 @@ class TestRankLimit:
         assert exit_code == EXIT_INVALID
 
 
+class TestSearchBudget:
+    def test_rank_twelve_theta_fails_fast(self, capsys):
+        import time
+
+        started = time.perf_counter()
+        code, out, err = run_cli(capsys, "mult", "--rank", "12", "--basis", "fundamental",
+                                 "--lambda", "1,1,1,1,1,1,1,1,1,1,1,79", "--mu", ",".join(["0"] * 12))
+        assert time.perf_counter() - started < 1.0
+        assert (code, out, json.loads(err)["error"]) == (EXIT_RESOURCE, "", "budget-exceeded")
+
+    def test_batch_record_past_the_budget_carries_its_line(self, capsys, monkeypatch):
+        import io
+
+        big = {"command": "mult", "rank": 12, "basis": "fundamental",
+               "lambda": "1,1,1,1,1,1,1,1,1,1,1,79", "mu": [0] * 12}
+        small = {"command": "mult", "rank": 2, "lambda": "1,0,-1", "mu": "0,0,0"}
+        monkeypatch.setattr("sys.stdin", io.StringIO(json.dumps(big) + "\n" + json.dumps(small)))
+        exit_code, out, _ = run_cli(capsys, "batch")
+        rows = [json.loads(line) for line in out.strip().splitlines()]
+        assert (rows[0]["error"], rows[0]["line"]) == ("budget-exceeded", 1)
+        assert rows[1]["value"] == "2"
+        assert exit_code == EXIT_RESOURCE
+
+    def test_non_dominant_mu_prints_its_sorted_answer(self, capsys):
+        lam = ["--rank", "3", "--lambda", "2,1,0,-3"]
+        answers = {run_cli(capsys, "mult", *lam, f"--mu={mu}")[1] for mu in ("0,1,-1,0", "1,0,0,-1", "-1,0,0,1")}
+        assert answers == {"6\n"}
+
+
 def _fresh_python(*args, stdin=""):
     """Run a new interpreter that imports this kostant package; (returncode, stdout)."""
     import subprocess

@@ -9,6 +9,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 import kostant.formulas
+from kostant.arbitration import _couple_terms
 from kostant.formulas import (
     RayFitFailure,
     RayPolynomial,
@@ -24,7 +25,7 @@ from kostant.reference import (
     tensor_bruteforce_lr,
     weyl_dimension,
 )
-from kostant.residues import _partition_of
+from kostant.residues import _partition_of, partition_counts
 from kostant.vectors import (
     DominantWeight,
     ValidationError,
@@ -137,6 +138,125 @@ class TestTensorProduct:
         # the adjoint cube shifted so every weight gains (1,1,1)
         shifted = DominantWeight((2, 1, 0))
         assert tensor_product(shifted, shifted, DominantWeight((3, 2, 1))) == 2
+
+
+def _dominant_boxes(rank, top, nu_top):
+    """Every (lam, mu, nu) of one rank with fundamental coordinates up to
+    top (lam, mu) and nu_top (nu), nu in the root-lattice class of lam + mu."""
+    def cls(f):
+        return sum(i * x for i, x in enumerate(f, 1)) % (rank + 1)
+
+    pairs = list(itertools.product(range(top + 1), repeat=rank))
+    for f1, f2, f3 in itertools.product(pairs, pairs, itertools.product(range(nu_top + 1), repeat=rank)):
+        if cls(f3) == (cls(f1) + cls(f2)) % (rank + 1):
+            yield tuple(DominantWeight(from_fundamental(f)) for f in (f1, f2, f3))
+
+
+@pytest.fixture
+def term_counts(monkeypatch):
+    """The number of terms of each alternating sum the formulas count."""
+    counts = []
+    original = kostant.formulas._alternating_sum
+
+    def counting(terms):
+        terms = list(terms)
+        counts.append(len(terms))
+        return original(terms)
+
+    monkeypatch.setattr(kostant.formulas, "_alternating_sum", counting)
+    return counts
+
+
+def _steinberg(lam, mu, nu):
+    """The paper's double sum: signature product times partition count, over couples."""
+    terms = _couple_terms(lam, mu, nu)
+    values = partition_counts([arg for _, _, arg in terms])
+    return sum(w1.signature * w2.signature * v for (w1, w2, _), v in zip(terms, values))
+
+
+class TestWeylSortedMultiplicity:
+    """m_lam(mu) = m_lam(w mu): the sum runs on mu's dominant form."""
+
+    @settings(max_examples=60, deadline=None)
+    @given(st.integers(1, 4), st.data())
+    def test_invariant_under_the_weyl_group(self, r, data):
+        coords = st.lists(st.integers(0, 2), min_size=r, max_size=r)
+        lam = DominantWeight(from_fundamental(data.draw(coords, label="lam")))
+        mu = from_fundamental(data.draw(st.lists(st.integers(-2, 2), min_size=r, max_size=r), label="mu"))
+        w = data.draw(st.permutations(range(r + 1)), label="w")
+        moved = tuple(mu[i] for i in w)
+        assert multiplicity(lam, moved) == multiplicity_freudenthal(lam, mu)
+
+    def test_shuffled_mu_has_the_terms_of_its_sorted_form(self, term_counts):
+        rng = random.Random(61)
+        sorted_mu = (2, 1, 0, -1, -2)
+        value = multiplicity(theta(4), sorted_mu)
+        for _ in range(10):
+            shuffled = tuple(rng.sample(sorted_mu, 5))
+            assert multiplicity(theta(4), shuffled) == value
+        assert len(set(term_counts)) == 1 and term_counts[0] > 1, term_counts
+
+    @pytest.mark.parametrize("r, terms", [(4, 16), (5, 66), (6, 402)])
+    def test_theta_term_counts(self, term_counts, r, terms):
+        assert multiplicity(theta(r), (0,) * (r + 1)) == 2 ** (r * (r - 1) // 2)
+        assert term_counts == [terms]
+
+
+class TestBrauerKlimyk:
+    """The tensor coefficient as a signed sum of multiplicities."""
+
+    @pytest.mark.parametrize("rank, top, nu_top", [(1, 5, 10), (2, 3, 6), (3, 1, 3)])
+    def test_agrees_with_lr_on_boxes(self, rank, top, nu_top):
+        nonzero = 0
+        for lam, mu, nu in _dominant_boxes(rank, top, nu_top):
+            value = tensor_product(lam, mu, nu)
+            assert value == tensor_bruteforce_lr(lam, mu, nu), (lam, mu, nu)
+            nonzero += value > 0
+        assert nonzero > 20
+
+    @pytest.mark.parametrize("rank", [4, 5])
+    def test_agrees_with_the_steinberg_couple_sum(self, rank):
+        rng = random.Random(700 + rank)
+        checked = nonzero = 0
+        while checked < 60:
+            f1, f2 = ([rng.randint(0, 2) for _ in range(rank)] for _ in range(2))
+            # lam + mu less a few simple roots: the same class, often dominant
+            f3 = [a + b for a, b in zip(f1, f2)]
+            for _ in range(rng.randint(0, 4)):
+                i = rng.randrange(rank)
+                f3[i] -= 2
+                if i:
+                    f3[i - 1] += 1
+                if i + 1 < rank:
+                    f3[i + 1] += 1
+            if min(f3) < 0:
+                continue
+            lam, mu, nu = (DominantWeight(from_fundamental(f)) for f in (f1, f2, f3))
+            shift = Fraction(sum(lam.canonical) + sum(mu.canonical), rank + 1)
+            nu = DominantWeight(tuple(x + shift for x in nu.canonical))
+            value = tensor_product(lam, mu, nu)
+            assert value == _steinberg(lam, mu, nu), (f1, f2, f3)
+            checked += 1
+            nonzero += value > 0
+        assert nonzero > 30
+
+    def test_one_term_where_steinberg_has_1381_couples(self, term_counts):
+        # the benchmark's tensor4: one w is found, and its gamma = lam has
+        # one Kostant term
+        lam = DominantWeight((6, 3, 0, -3, -6))
+        assert tensor_product(lam, lam, DominantWeight((0, 0, 0, 0, 0))) == 1
+        assert len(_couple_terms(lam, lam, DominantWeight((0, 0, 0, 0, 0)))) == 1381
+        assert term_counts == [1]
+
+    def test_gammas_whose_signs_cancel_are_dropped(self, monkeypatch):
+        # V(rho) (x) V(0) holds no V(omega_2): of the five w found, two reach
+        # gamma = (3, 2, 1, 0) with opposite signs, and its terms are not built
+        asked = []
+        original = kostant.formulas._kostant_terms
+        monkeypatch.setattr(kostant.formulas, "_kostant_terms", lambda u, v: asked.append(v) or original(u, v))
+        lam, mu, nu = (DominantWeight(from_fundamental(f)) for f in ((1, 1, 1), (0, 0, 0), (0, 1, 0)))
+        assert tensor_product(lam, mu, nu) == 0
+        assert len(asked) == 3 and (3 + 3, 2 + 2, 1 + 1, 0) not in asked
 
 
 def orbit_size(mu):

@@ -1,4 +1,4 @@
-"""Pruned searches for dominance-constrained permutations and couples."""
+"""Pruned searches for dominance-constrained permutations, couples and Weyl candidates."""
 
 import itertools
 import random
@@ -6,7 +6,8 @@ from fractions import Fraction
 
 import pytest
 
-from kostant.permsearch import valid_couples, valid_permutations
+from kostant import permsearch
+from kostant.permsearch import BudgetExceeded, valid_couples, valid_permutations, weyl_candidates
 from kostant.permutations import Permutation
 from kostant.vectors import ValidationError, rho, vec_add
 
@@ -253,3 +254,49 @@ class TestCarriedInversions:
                 self._check(pair)
             found += len(got)
         assert found > 20 * rank
+
+
+def brute_weyl_candidates(lam, a, b):
+    """(sign(w), sorted gamma) over all w with gamma = w(a) - b dominated by lam."""
+    top = list(itertools.accumulate(lam))
+    out = []
+    for images in itertools.permutations(range(1, len(a) + 1)):
+        w = Permutation(images)
+        gamma = sorted((x - y for x, y in zip(w.apply(a), b)), reverse=True)
+        if all(s <= t for s, t in zip(itertools.accumulate(gamma), top)) and sum(gamma) == top[-1]:
+            out.append((w.signature, tuple(gamma)))
+    return sorted(out)
+
+
+class TestWeylCandidates:
+    @pytest.mark.parametrize("rank", [1, 2, 3, 4])
+    def test_matches_brute_force(self, rank):
+        rng = random.Random(500 + rank)
+        found = 0
+        for _ in range(60):
+            # a and b like the lifts nu + rho and mu + rho; lam's end entries
+            # take up the difference of the sums, so it stays non-increasing
+            a, b = (sorted(rng.sample(range(-5, 6), rank + 1), reverse=True) for _ in range(2))
+            lam = sorted((rng.randint(-2, 2) for _ in range(rank + 1)), reverse=True)
+            gap = sum(a) - sum(b) - sum(lam)
+            lam[0 if gap > 0 else -1] += gap
+            got = weyl_candidates(tuple(lam), tuple(a), tuple(b))
+            assert sorted(got) == brute_weyl_candidates(lam, a, b), (lam, a, b)
+            found += len(got)
+        assert found > 60
+
+
+class TestFrontierLimit:
+    """Every search refuses a frontier past FRONTIER_LIMIT prefixes."""
+
+    @pytest.mark.parametrize("search, args", [
+        (valid_permutations, ((3, 2, 1, 0, -6), (0, 0, 0, 0, 0))),
+        (valid_couples, ((3, 2, 1, 0, -6), (3, 2, 1, 0, -6), (0, 0, 0, 0, 0))),
+        (weyl_candidates, ((4, 4, 0, -4, -4), (4, 3, 2, 1, 0), (2, 2, 2, 2, 2))),
+    ], ids=["permutations", "couples", "weyl"])
+    def test_lowered_limit_is_budget_exceeded(self, monkeypatch, search, args):
+        assert len(search(*args)) > 4
+        monkeypatch.setattr(permsearch, "FRONTIER_LIMIT", 4)
+        with pytest.raises(BudgetExceeded) as err:
+            search(*args)
+        assert err.value.code == "budget-exceeded"

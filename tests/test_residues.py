@@ -112,6 +112,12 @@ class TestSpecialPermutations:
             got = [w.images for w in special_permutations(a)]
             assert got == by_definition(a), a
 
+    def test_vector_that_does_not_sum_to_zero_is_refused(self):
+        # its last entry is never read, so (5, 1, 2) would pass for (5, 1, -6)
+        with pytest.raises(ValidationError) as err:
+            special_permutations((5, 1, 2))
+        assert err.value.code == "not-zero-sum"
+
 
 class TestIteratedResidue:
     def test_rank_one_simple_pole(self):
@@ -183,6 +189,11 @@ class TestPartitionTotal:
         with pytest.raises(ValidationError) as err:
             partition_total(a, regularised)
         assert err.value.code == "bad-length"
+
+    def test_order_vector_that_does_not_sum_to_zero_is_refused(self):
+        with pytest.raises(ValidationError) as err:
+            partition_total((1, -1), (1, 2))
+        assert err.value.code == "not-zero-sum"
 
     def test_orders_from_a_non_regular_vector(self):
         # A zero subset sum reads as non-negative, as in the deformation.
