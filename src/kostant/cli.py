@@ -29,11 +29,11 @@ at N = s, 2s, ... and every other N has value 0.  A ray whose counts fit no
 polynomial prints "fit-failed[<reason>]:<values>".
 Exit codes: 0 success, 2 invalid input, 3 oracle disagreement,
 4 resource exhaustion (budget-exceeded for a search past its frontier
-limit), 5 an internal error.  Single commands and batch
-records map failures to the same codes (_failure): a single command prints
-the error as one JSON line on stderr, a batch record gets it as its result
-line and the stream goes on.  Every batch error carries "line", the 1-based
-number of its stdin line, blank lines included.
+limit or a sum past its term limit), 5 an internal error.  Single commands
+and batch records map failures to the same codes (_failure): a single
+command prints the error as one JSON line on stderr, a batch record gets it
+as its result line and the stream goes on.  Every batch error carries
+"line", the 1-based number of its stdin line, blank lines included.
 """
 
 from __future__ import annotations

@@ -21,7 +21,8 @@ contributes the Kostant terms of its multiplicity, so one coefficient is
 one alternating partition sum.  (The paper's form, Steinberg's double sum
 over couples (w1, w2), has many times the terms; kostant/arbitration.py
 keeps it to arbitrate its couple sign.)  The arguments of one sum are
-counted in-process by one batched call of partition_counts.
+counted in-process by one batched call of partition_counts, and a sum of
+more than TERM_LIMIT terms is refused with BudgetExceeded before it.
 
 Every w fixes the multiples of (1, ..., 1), so translating the weights by
 such multiples (balanced on both sides) and rho by (r/2)(1, ..., 1) leaves
@@ -40,10 +41,11 @@ N = s, 2s, ..., (d+1)s and verified at (d+2)s and (d+3)s.
 from __future__ import annotations
 
 from fractions import Fraction
+from itertools import islice
 from typing import Iterable, List, NamedTuple, Sequence, Tuple, Union
 
 from .parallel import map_counts
-from .permsearch import valid_permutations, weyl_candidates
+from .permsearch import BudgetExceeded, valid_permutations, weyl_candidates
 from .residues import partition_counts
 from .vectors import Exact, _exact, weight_pair, weight_triple
 
@@ -62,9 +64,19 @@ def _plus_rho(v: Sequence[int], multiple: int = 1) -> Tuple[int, ...]:
     return tuple(x + multiple * (r - i) for i, x in enumerate(v))
 
 
+# The most terms one alternating sum may have.  The tests and the benchmark
+# peak at 402 (theta(6)) and theta(7) has 2466, about 2 s of cold walks; the
+# rank-7 tensor of lambda = mu = 3(w_1 + ... + w_7), nu = 2(w_1 + ... + w_7)
+# builds 22068 in 0.16 s and was still walking them after 40 s.
+TERM_LIMIT = 4096
+
+
 def _alternating_sum(terms: Iterable[Tuple[int, Tuple[int, ...]]]) -> int:
-    """The sum of sign * partitions(arg) over (sign, arg) terms, counted in one batch."""
-    terms = list(terms)
+    """The sum of sign * partitions(arg) over (sign, arg) terms, counted in one
+    batch; more than TERM_LIMIT terms are refused before any is counted."""
+    terms = list(islice(terms, TERM_LIMIT + 1))
+    if len(terms) > TERM_LIMIT:
+        raise BudgetExceeded(f"the sum has more than {TERM_LIMIT} terms; the query is too large")
     values = map_counts(partition_counts, [arg for _, arg in terms])
     return sum(sign * value for (sign, _), value in zip(terms, values))
 

@@ -38,7 +38,8 @@ FRONTIER_LIMIT = 16384
 
 
 class BudgetExceeded(RuntimeError):
-    """A search refused past FRONTIER_LIMIT prefixes, tagged with its code."""
+    """A query refused past a cost limit, tagged with its code: a search past
+    FRONTIER_LIMIT prefixes, or a sum past formulas.TERM_LIMIT terms."""
 
     code = "budget-exceeded"
 

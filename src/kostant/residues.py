@@ -15,13 +15,20 @@ kostant/arbitration.py re-derives the sign against its only rival, the
 inversion parity, on exhaustive boxes.  Residues are extracted
 one variable at a time, and each step needs only the coefficients below the
 pole order of the active variable, so the cost never depends on the sizes of
-the entries of a.  Only the exponents differ between vectors of one rank, so
-a batch of them is walked together: one residue step per distinct order
-prefix, with a row of integer coefficients per exponent tuple, or one int
-per exponent tuple once a single column is left, so a single-vector walk
-costs what one column of a batched walk costs.  Each step is a plan, cached
-per process, of which exponent tuples arise and from which (entry, m_0)
-pairs, and an apply that does only integer multiply-adds.
+the entries of a.  Each step is a plan, cached per process, of which
+exponent tuples arise and from which (entry, m_0) pairs, and an apply that
+does only integer multiply-adds.  A step keeps every output, zero or not, so
+the exponent tuples of a walk node, and with them its plan, depend on the
+elimination prefix alone, never on the exponents.
+
+Only the exponents differ between the vectors of one chamber, so the walk of
+a chamber's orders is compiled once into a flat program: its steps in
+depth-first order, each reading its parent's state with its plan bound in,
+and the leaves that add up the signed residues.  A vector counted alone runs
+its chamber's program.  Several vectors of one rank are walked together:
+one residue step per distinct order prefix of the batch, with a row of
+integer coefficients per exponent tuple, or one int per exponent tuple once
+a single column is left.
 """
 
 from __future__ import annotations
@@ -29,25 +36,11 @@ from __future__ import annotations
 from collections import OrderedDict, namedtuple
 from functools import lru_cache
 from itertools import accumulate
-from math import comb
 from operator import add, mul
 from typing import List, Sequence, Tuple
 
 from .permutations import Permutation
 from .vectors import ValidationError, int_entries, root_vector, scaled_ints, subset_sums
-
-
-def binomial(e: int, m: int) -> int:
-    """C(e, m) for any integer e and m >= 0, via falling factorials.
-
-    Exact for negative e as well: C(e, m) = (-1)^m C(m - e - 1, m).  Cost
-    grows with m only, never with |e|, so exponents around 10^9 are fine.
-    """
-    if m < 0:
-        raise ValueError("lower index must be non-negative")
-    if e >= 0:
-        return comb(e, m)
-    return (-comb(m - e - 1, m)) if (m % 2) else comb(m - e - 1, m)
 
 
 # One object per distinct tuple held by any plan or chamber entry: orders,
@@ -127,10 +120,12 @@ def _shifts(total: int, others: int) -> Tuple[Tuple[int, Tuple[int, ...]], ...]:
 def _plan(keys: Tuple[Tuple[int, ...], ...], tpos: int):
     """The shape of one residue step: which exponent tuples come out, and from what.
 
-    Returns (top, out_keys, sources): sources[k] lists the (i, m_0) whose
-    products rows[i] * C(e_t, m_0) add up to the coefficients of out_keys[k],
-    and every m_0 is below top.  Nothing here depends on the exponents e_t,
-    so one plan serves every query whose walk reaches the same state shape.
+    Returns (sign, top, out_keys, sources): sources[k] lists the (i, m_0)
+    whose products rows[i] * sign * C(e_t, m_0) add up to the coefficients of
+    out_keys[k], and every m_0 is below top.  The sign is -1 when an odd
+    number of the active variables lie above the eliminated one.  Nothing
+    here depends on the exponents e_t, so one plan serves every query whose
+    walk reaches the same state shape, that is the same elimination prefix.
     """
     others, share, sources = len(keys[0]) - 1, _SHARED.setdefault, {}
     for i, exps in enumerate(keys):
@@ -138,7 +133,7 @@ def _plan(keys: Tuple[Tuple[int, ...], ...], tpos: int):
         for m0, shift in _shifts(-exps[tpos] - 1, others):
             e = tuple(map(add, base, shift))
             sources.setdefault(share(e, e), []).append(share((i, m0), (i, m0)))
-    return (-min(exps[tpos] for exps in keys), tuple(sources),
+    return (-1 if (others - tpos) % 2 else 1, -min(exps[tpos] for exps in keys), tuple(sources),
             tuple(share(src, src) for src in map(tuple, sources.values())))
 
 
@@ -171,24 +166,25 @@ def _residue_step(keys: Tuple[Tuple[int, ...], ...], rows: list,
     sum over m_0 + sum m_i = p - 1 of C(e_t, m_0) prod z_i^{-1-m_i}.  Every
     state exponent is at most -1, so p >= 1 and the work never depends on e_t.
     The cached `_plan` says which products feed which output; this call only
-    multiplies and adds them, in the state's own form, and drops the outputs
-    that come out zero.
+    multiplies and adds them, in the state's own form, and keeps every
+    output, so the output keys are the plan's.
     """
-    tpos = active.index(t)
-    sign = -1 if (len(active) - 1 - tpos) % 2 else 1  # active is sorted: these lie above t
-    top, out_keys, sources = _plan(keys, tpos)
+    sign, top, out_keys, sources = _plan(keys, active.index(t))
     if len(e_t) == 1:
         b = _binomials(sign, e_t[0], top)
-        out = [sum([rows[i] * b[m0] for i, m0 in src]) for src in sources]
-        live = [k for k, v in enumerate(out) if v]
-    else:
-        binomials = _binomial_rows(sign, e_t, top)
-        out = [list(map(sum, zip(*[map(mul, rows[i], binomials[m0]) for i, m0 in src])))
-               for src in sources]
-        live = [k for k, row in enumerate(out) if any(row)]
-    if len(live) == len(out):
-        return out_keys, out
-    return tuple(out_keys[k] for k in live), [out[k] for k in live]
+        return out_keys, [sum([rows[i] * b[m0] for i, m0 in src]) for src in sources]
+    binomials = _binomial_rows(sign, e_t, top)
+    return out_keys, [list(map(sum, zip(*[map(mul, rows[i], binomials[m0]) for i, m0 in src])))
+                      for src in sources]
+
+
+def _branches(group: list, depth: int) -> list:
+    """(t, items) per variable t that the orders of group eliminate at depth,
+    in increasing t; item[0] is an order's images reversed."""
+    by_var: dict = {}
+    for item in group:
+        by_var.setdefault(item[0][depth], []).append(item)
+    return sorted(by_var.items())
 
 
 def _residue_sum(exponents: Sequence[Sequence[int]],
@@ -214,11 +210,8 @@ def _residue_sum(exponents: Sequence[Sequence[int]],
             for _, i, sign in group:
                 totals[cols[i]] += sign * (rows[0] if len(cols) == 1 else rows[0][i])
             return
-        by_var: dict = {}
-        for item in group:
-            by_var.setdefault(item[0][depth], []).append(item)
-        for t in sorted(by_var):
-            sub, sub_rows, sub_cols = by_var[t], rows, cols
+        for t, sub in _branches(group, depth):
+            sub_rows, sub_cols = rows, cols
             keep = sorted({i for _, i, _ in sub})
             if len(keep) < len(cols):
                 where = {i: k for k, i in enumerate(keep)}
@@ -227,14 +220,57 @@ def _residue_sum(exponents: Sequence[Sequence[int]],
                 sub_rows = ([row[keep[0]] for row in rows] if len(keep) == 1 else
                             [[row[i] for i in keep] for row in rows])
             nxt = _residue_step(keys, sub_rows, active, [exponents[j][t - 1] for j in sub_cols], t)
-            if nxt[0]:
-                descend(*nxt, [v for v in active if v != t], sub_cols, sub, depth + 1)
+            descend(*nxt, [v for v in active if v != t], sub_cols, sub, depth + 1)
 
     # The explicit 1/(z_1 ... z_r) factor; everything else enters step by step.
     columns = list(range(len(exponents)))
     root = [1] if len(columns) == 1 else [[1] * len(columns)]
     descend(((-1,) * r,), root, list(range(1, r + 1)), columns, items, 0)
     return totals
+
+
+@lru_cache(maxsize=1024)
+def _program(chamber: bytes) -> tuple:
+    """The residue walk of the special orders of a chamber, compiled once.
+
+    Returns (parents, variables, plans, slots, signs).  Step k, in depth-first
+    order of the orders' prefix tree, reads state parents[k] (state 0 is the
+    root [1]), takes the residue in variable variables[k] + 1 by the plan
+    plans[k], and writes state k + 1.  Order n's residue is the one entry of
+    state slots[n], weighted by signs[n].  The plans depend on the prefix
+    alone, so the program serves every vector of the chamber, whatever its
+    exponents; it holds the plans themselves and two small ints per step.
+    """
+    r = len(chamber).bit_length() - 1
+    parents, variables, plans, slots, signs = [], [], [], [], []
+
+    def build(keys, active, group, slot):
+        if not active:
+            slots.extend(slot for _ in group)
+            signs.extend(sign for _, sign in group)
+            return
+        for t, sub in _branches(group, r - len(active)):
+            plan = _plan(keys, active.index(t))
+            parents.append(slot)
+            variables.append(t - 1)
+            plans.append(plan)
+            build(plan[2], [v for v in active if v != t], sub, len(plans))
+
+    build(((-1,) * r,), list(range(1, r + 1)),
+          [(images[::-1], sign) for images, sign in _special_orders(chamber)], 0)
+    return tuple(parents), tuple(variables), tuple(plans), tuple(slots), tuple(signs)
+
+
+def _run(program: tuple, exponents: Sequence[int]) -> int:
+    """The alternating residue sum of one vector: its chamber's program run
+    on its exponents, with no regrouping and no plan lookup."""
+    parents, variables, plans, slots, signs = program
+    states = [[1]]
+    for parent, v, (sign, top, _, sources) in zip(parents, variables, plans):
+        b = _binomials(sign, exponents[v], top)
+        vals = states[parent]
+        states.append([sum([vals[i] * b[m0] for i, m0 in src]) for src in sources])
+    return sum(sign * states[slot][0] for slot, sign in zip(slots, signs))
 
 
 def _sized(exponents: Sequence[int], size: int) -> Tuple[int, ...]:
@@ -288,7 +324,7 @@ def partition_total(a: Sequence, regularised: Sequence):
     """
     regularised, = scaled_ints(regularised)
     exponents = _sized(_exponents(root_vector(a)), len(regularised) - 1)
-    return _residue_sum([exponents], [_special_orders(_order_chamber(regularised))])[0]
+    return _run(_program(_order_chamber(regularised)), exponents)
 
 
 CacheInfo = namedtuple("CacheInfo", "hits misses maxsize currsize")
@@ -318,7 +354,8 @@ def partition_counts(vectors: Sequence[Sequence[int]]) -> List[int]:
     """Partition counts of integral zero-sum vectors, in input order.
 
     Repeats and earlier results come from the memo; the rest are counted by
-    one batched residue walk per rank (zero outside the cone).  Each vector
+    one batched residue walk per rank, or by its chamber's program when it is
+    the only fresh vector of its rank (zero outside the cone).  Each vector
     is checked by root_vector, so a bad one raises its ValidationError code,
     and an in-cone one above the rank limit of subset_sums raises
     rank-too-large before its chamber key is built.
@@ -336,6 +373,9 @@ def partition_counts(vectors: Sequence[Sequence[int]]) -> List[int]:
         if min(accumulate(a)) >= 0:  # in the cone
             by_rank.setdefault(len(a), []).append(a)
     for batch in by_rank.values():
+        if len(batch) == 1:
+            fresh[batch[0]] = _run(_program(_chamber(batch[0])), _exponents(batch[0]))
+            continue
         weighted = [_special_orders(_chamber(a)) for a in batch]
         fresh.update(zip(batch, _residue_sum([_exponents(a) for a in batch], weighted)))
     memo.misses += len(fresh)

@@ -528,6 +528,32 @@ class TestSearchBudget:
         assert rows[1]["value"] == "2"
         assert exit_code == EXIT_RESOURCE
 
+    # Its Brauer-Klimyk sum has 22068 terms, past formulas.TERM_LIMIT.
+    WIDE_TENSOR = ["--rank", "7", "--basis", "fundamental", "--lambda", "3,3,3,3,3,3,3",
+                   "--mu", "3,3,3,3,3,3,3", "--nu", "2,2,2,2,2,2,2"]
+
+    def test_wide_rank_seven_tensor_fails_fast(self, capsys):
+        import time
+
+        started = time.perf_counter()
+        code, out, err = run_cli(capsys, "tensor", *self.WIDE_TENSOR)
+        assert time.perf_counter() - started < 1.0
+        assert (code, out, json.loads(err)["error"]) == (EXIT_RESOURCE, "", "budget-exceeded")
+
+    def test_batch_sum_past_the_term_limit_carries_its_line(self, capsys, monkeypatch):
+        import io
+
+        wide = {"command": "tensor", "rank": 7, "basis": "fundamental", "lambda": "3,3,3,3,3,3,3",
+                "mu": "3,3,3,3,3,3,3", "nu": "2,2,2,2,2,2,2"}
+        small = {"command": "kostant", "rank": 2, "vector": "1,0,-1"}
+        lines = [json.dumps(small), json.dumps(wide), json.dumps(small)]
+        monkeypatch.setattr("sys.stdin", io.StringIO("\n".join(lines) + "\n"))
+        exit_code, out, _ = run_cli(capsys, "batch")
+        rows = [json.loads(line) for line in out.strip().splitlines()]
+        assert (rows[1]["error"], rows[1]["line"]) == ("budget-exceeded", 2)
+        assert rows[0]["value"] == rows[2]["value"] == "2"
+        assert exit_code == EXIT_RESOURCE
+
     def test_non_dominant_mu_prints_its_sorted_answer(self, capsys):
         lam = ["--rank", "3", "--lambda", "2,1,0,-3"]
         answers = {run_cli(capsys, "mult", *lam, f"--mu={mu}")[1] for mu in ("0,1,-1,0", "1,0,0,-1", "-1,0,0,1")}

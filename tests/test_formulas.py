@@ -9,8 +9,10 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 import kostant.formulas
+from kostant import BudgetExceeded
 from kostant.arbitration import _couple_terms
 from kostant.formulas import (
+    TERM_LIMIT,
     RayFitFailure,
     RayPolynomial,
     _ray_fit,
@@ -257,6 +259,39 @@ class TestBrauerKlimyk:
         lam, mu, nu = (DominantWeight(from_fundamental(f)) for f in ((1, 1, 1), (0, 0, 0), (0, 1, 0)))
         assert tensor_product(lam, mu, nu) == 0
         assert len(asked) == 3 and (3 + 3, 2 + 2, 1 + 1, 0) not in asked
+
+
+class TestTermLimit:
+    """A sum of more than TERM_LIMIT terms is refused before any of it is
+    counted; the limit is lowered here, never reached."""
+
+    @pytest.mark.parametrize("weights", [
+        (theta(4), (0,) * 5),
+        tuple(DominantWeight(from_fundamental(f)) for f in ((2, 1, 2), (1, 2, 1), (1, 1, 1))),
+    ], ids=["multiplicity", "tensor_product"])
+    def test_lowered_limit_is_budget_exceeded(self, monkeypatch, term_counts, weights):
+        call = multiplicity if len(weights) == 2 else tensor_product
+        value = call(*weights)
+        terms, = term_counts
+        assert terms > 1
+        monkeypatch.setattr(kostant.formulas, "TERM_LIMIT", terms)
+        _partition_of.cache_clear()
+        assert call(*weights) == value  # at the limit the sum still runs
+
+        def refused(args):
+            raise AssertionError("a sum past the term limit was counted")
+
+        monkeypatch.setattr(kostant.formulas, "TERM_LIMIT", terms - 1)
+        monkeypatch.setattr(kostant.formulas, "partition_counts", refused)
+        with pytest.raises(BudgetExceeded) as err:
+            call(*weights)
+        assert err.value.code == "budget-exceeded"
+
+    def test_theta_seven_is_inside_the_limit(self, monkeypatch, term_counts):
+        # Its terms are built but not walked: the walk takes seconds.
+        monkeypatch.setattr(kostant.formulas, "partition_counts", lambda args: [0] * len(args))
+        assert multiplicity(theta(7), (0,) * 8) == 0
+        assert term_counts == [2466] and 2466 <= TERM_LIMIT
 
 
 def orbit_size(mu):

@@ -1,12 +1,13 @@
 """Iterated residues, special permutation orders, partition counts."""
 
 import itertools
+import math
 import random
 from fractions import Fraction
 from functools import lru_cache
 
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import assume, example, given, settings, strategies as st
 
 from kostant import residues
 from kostant.arbitration import descent_sign
@@ -17,11 +18,14 @@ from kostant.residues import (
     _binomial_rows,
     _binomials,
     _chamber,
+    _exponents,
     _partition_of,
     _plan,
+    _program,
     _residue_step,
+    _residue_sum,
+    _run,
     _special_orders,
-    binomial,
     iterated_residue,
     iterated_residue_by_substitution,
     kostant_partition,
@@ -29,21 +33,36 @@ from kostant.residues import (
     partition_total,
     special_permutations,
 )
-from kostant.vectors import DominantWeight, ValidationError, deform, is_regular, theta
+from kostant.vectors import DominantWeight, ValidationError, deform, in_positive_cone, is_regular, theta
+
+
+def binomial(e, m):
+    """C(e, m) as the engine's recurrence gives it: entry m of `_binomials`."""
+    return _binomials(1, e, m + 1)[m]
+
+
+def exact_binomial(e, m):
+    """C(e, m) from math.comb, by C(e, m) = (-1)^m C(m - e - 1, m) for e < 0."""
+    return math.comb(e, m) if e >= 0 else (-1) ** m * math.comb(m - e - 1, m)
 
 
 class TestBinomial:
     def test_non_negative_exponent(self):
-        assert binomial(5, 2) == 10
-        assert binomial(5, 0) == 1
-        assert binomial(5, 7) == 0
+        for e in range(0, 31):
+            assert [binomial(e, m) for m in range(40)] == [math.comb(e, m) for m in range(40)], e
+        assert binomial(10**9, 3) == math.comb(10**9, 3)
 
     def test_negative_exponent(self):
         # (1+z)^(-2) = 1 - 2z + 3z^2 - 4z^3 + ...
         assert [binomial(-2, m) for m in range(4)] == [1, -2, 3, -4]
+        for e in list(range(-30, 0)) + [-10**9]:
+            assert [binomial(e, m) for m in range(40)] == [exact_binomial(e, m) for m in range(40)], e
 
     def test_large_exponent_stays_cheap(self):
         assert binomial(10**9, 2) == 10**9 * (10**9 - 1) // 2
+        assert binomial(-10**9, 2) == math.comb(10**9 + 1, 2)
+        for sign in (1, -1):
+            assert _binomials(sign, -10**9, 12) == [sign * exact_binomial(-10**9, m) for m in range(12)]
 
     def test_matches_expansion_product(self):
         # (1+z)^e * (1+z)^(-e) = 1, checked through degree 6
@@ -402,22 +421,24 @@ class TestCompiledStep:
             rows = _binomial_rows(sign, exponents, 12)
             assert len(rows) == 12
             for m, row in enumerate(rows):
-                assert row == [sign * binomial(e, m) for e in exponents], (sign, m)
+                assert row == [sign * exact_binomial(e, m) for e in exponents], (sign, m)
                 assert [_binomials(sign, e, 12)[m] for e in exponents] == row
 
     def test_one_column_step_is_a_column_of_the_rows_step(self):
         # keys[0] has a pole of order 2 at z_2, so with e_t = 0 the C(0, 1) = 0
-        # term gives an output that the one-column state must drop.
+        # term gives an output that comes out zero.  Both forms keep it: the
+        # output keys are the plan's, whatever the exponents.
         keys, active = ((-1, -2), (-2, -1)), [1, 2]
         rows = [[1, 1, 2], [3, -1, 0]]
         e_t = [0, 5, -4]
         wide_keys, wide = _residue_step(keys, rows, active, e_t, 2)
+        assert wide_keys == _plan(keys, 1)[2]
         for j, e in enumerate(e_t):
             got_keys, got = _residue_step(keys, [row[j] for row in rows], active, [e], 2)
-            assert all(type(v) is int and v for v in got)
-            expected = [(k, row[j]) for k, row in zip(wide_keys, wide) if row[j]]
-            assert list(zip(got_keys, got)) == expected, e
-        assert any(not row[0] for row in wide)  # so column 0 had outputs to drop
+            assert all(type(v) is int for v in got)
+            assert got_keys == wide_keys
+            assert got == [row[j] for row in wide], e
+        assert any(not row[0] for row in wide)  # so column 0 kept a zero output
 
     def test_narrowing_reaches_the_one_column_kernel(self, monkeypatch):
         widths = []
@@ -468,6 +489,7 @@ class TestCompiledStep:
         stream = list(_cheap_stream(5, 600))
         assert {len(a) - 1 for a in stream} == {1, 2, 3, 4, 5, 6}
         _plan.cache_clear()
+        _program.cache_clear()
         _partition_of.cache_clear()
         maxsize = _plan.cache_info().maxsize
         assert maxsize is not None
@@ -525,12 +547,15 @@ class TestChamberOrders:
         assert _special_orders.cache_info().misses == chambers
 
     def test_chamber_cache_stays_bounded(self, monkeypatch):
+        # With no program cache in front of it, every lone count reads its
+        # orders from the chamber cache.
         stream = list(_cheap_stream(7, 400))
         _partition_of.cache_clear()
         expected = partition_counts(stream)
         assert _special_orders.cache_info().maxsize == 4096
         tiny = lru_cache(maxsize=8)(_special_orders.__wrapped__)
         monkeypatch.setattr(residues, "_special_orders", tiny)
+        monkeypatch.setattr(residues, "_program", _program.__wrapped__)
         _partition_of.cache_clear()
         got = []
         for a in stream:
@@ -538,6 +563,84 @@ class TestChamberOrders:
             assert tiny.cache_info().currsize <= 8
         assert got == expected
         assert tiny.cache_info().misses > 50
+
+
+@st.composite
+def _small_vectors(draw):
+    """Zero-sum vectors of ranks 1-6 made of up to three signed roots, so in
+    the cone or outside it, with entries small enough for the DP oracle."""
+    r = draw(st.integers(1, 6))
+    a = [0] * (r + 1)
+    for _ in range(draw(st.integers(0, 3))):
+        i, j = draw(st.lists(st.integers(0, r), min_size=2, max_size=2, unique=True))
+        c = draw(st.integers(1, 2 if r < 6 else 1))
+        a[i] += c
+        a[j] -= c
+    assume(max(map(abs, a)) <= (3 if r < 6 else 2))
+    return tuple(a)
+
+
+class TestChamberProgram:
+    @settings(max_examples=150, deadline=None)
+    @given(_small_vectors())
+    @example((0, 0))
+    @example((0,) * 7)
+    @example((-1, 1))
+    @example((1, -2, 0, 0, 0, 0, 1))
+    def test_program_walk_is_a_column_of_the_union_walk(self, a):
+        # The residue sum itself, in the cone or not: the program against the
+        # batched union walk, with a beside unrelated vectors of its rank.
+        r = len(a) - 1
+        batch = [(1,) + (0,) * (r - 1) + (-1,), (r,) + (-1,) * r, (2, -2) + (0,) * (r - 1), a]
+        union = _residue_sum([_exponents(b) for b in batch], [_special_orders(_chamber(b)) for b in batch])
+        assert _run(_program(_chamber(a)), _exponents(a)) == union[-1], a
+        # The count: a lone fresh vector runs its program (zero outside the cone).
+        _partition_of.cache_clear()
+        alone = partition_counts([a])[0]
+        assert alone == kostant_partition_bruteforce(a), a
+        if in_positive_cone(a):
+            assert alone == union[-1]
+
+    def test_warm_chamber_counts_without_plans_or_steps(self, monkeypatch):
+        a, b = (2, -1, 1, 0, -2), (4, -2, 2, 0, -4)  # b = 2a: one chamber
+        assert _chamber(a) == _chamber(b)
+        expected = kostant_partition_bruteforce(b)
+        _partition_of.cache_clear()
+        assert partition_counts([a]) == [kostant_partition_bruteforce(a)]
+
+        def refused(*args):
+            raise AssertionError("a warm one-vector count looked up a plan or took a union step")
+
+        for name in ("_plan", "_residue_step", "_special_orders"):
+            monkeypatch.setattr(residues, name, refused)
+        assert partition_counts([b]) == [expected]
+
+    def test_program_cache_stays_bounded(self):
+        stream = list(_cheap_stream(8, 600))
+        _program.cache_clear()
+        _partition_of.cache_clear()
+        maxsize = _program.cache_info().maxsize
+        assert maxsize is not None
+        for a in stream:
+            partition_counts([a])
+            assert _program.cache_info().currsize <= maxsize
+        assert _program.cache_info().misses > 50
+
+    def test_program_eviction_keeps_values(self, monkeypatch):
+        stream = list(_cheap_stream(9, 400))
+        _partition_of.cache_clear()
+        expected = partition_counts(stream)  # one union walk per rank
+        tiny = lru_cache(maxsize=8)(_program.__wrapped__)
+        monkeypatch.setattr(residues, "_program", tiny)
+        _partition_of.cache_clear()
+        got = []
+        for a in stream:
+            got += partition_counts([a])
+            assert tiny.cache_info().currsize <= 8
+        assert got == expected
+        assert tiny.cache_info().misses > 50
+        small = [(a, v) for a, v in zip(stream, expected) if len(a) <= 6]
+        assert all(kostant_partition_bruteforce(a) == v for a, v in small)
 
 
 class TestRankLimit:
