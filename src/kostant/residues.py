@@ -12,23 +12,18 @@ taken over a pruned set of variable orders (the "special" permutations of
 the regularised vector), the residue for an order w weighted by
 (-1)^(descents of w).  The order search carries that parity, and
 kostant/arbitration.py re-derives the sign against its only rival, the
-inversion parity, on exhaustive boxes.  Residues are extracted
-one variable at a time, and each step needs only the coefficients below the
-pole order of the active variable, so the cost never depends on the sizes of
-the entries of a.  Each step is a plan, cached per process, of which
-exponent tuples arise and from which (entry, m_0) pairs, and an apply that
-does only integer multiply-adds.  A step keeps every output, zero or not, so
-the exponent tuples of a walk node, and with them its plan, depend on the
-elimination prefix alone, never on the exponents.
+inversion parity, on exhaustive boxes.
 
-Only the exponents differ between the vectors of one chamber, so the walk of
-a chamber's orders is compiled once into a flat program: its steps in
-depth-first order, each reading its parent's state with its plan bound in,
-and the leaves that add up the signed residues.  A vector counted alone runs
-its chamber's program.  Several vectors of one rank are walked together:
-one residue step per distinct order prefix of the batch, with a row of
-integer coefficients per exponent tuple, or one int per exponent tuple once
-a single column is left.
+Residues are extracted one variable at a time, z_{w(r)} first, and each
+step needs only the coefficients below the pole order of the active
+variable, so the cost never depends on the sizes of the entries of a.  A
+step is a plan, cached per process and keyed by the elimination prefix
+alone, of which exponent tuples arise and from which (entry, m_0) pairs,
+and an apply that does only integer multiply-adds.  Orders that share a
+prefix share their steps, so one walker runs a compiled program: the union
+prefix tree of a set of orders over one or more exponent columns, flattened
+depth first.  A chamber's program is compiled once and serves every vector
+of the chamber; the fresh vectors of one rank are compiled together.
 """
 
 from __future__ import annotations
@@ -36,7 +31,7 @@ from __future__ import annotations
 from collections import OrderedDict, namedtuple
 from functools import lru_cache
 from itertools import accumulate
-from operator import add, mul
+from operator import add, itemgetter, mul
 from typing import List, Sequence, Tuple
 
 from .permutations import Permutation
@@ -153,124 +148,96 @@ def _binomial_rows(sign: int, e_t: Sequence[int], top: int) -> List[List[int]]:
     return rows
 
 
-def _residue_step(keys: Tuple[Tuple[int, ...], ...], rows: list,
-                  active: List[int], e_t: Sequence[int], t: int) -> tuple:
-    """Residue at z_t = 0 of the state times the integrand factors involving z_t.
+def _compile(items: list, width: int) -> tuple:
+    """The walk of the union prefix tree of weighted orders over `width`
+    exponent columns, flattened depth first; it never reads the exponents.
 
-    The state gives the coefficient of the exponent tuple keys[i] over the
-    active variables, one per batch column: a row rows[i] of ints when the
-    batch has several columns, the int rows[i] itself when it has one.  Column
-    j has the factor (1+z_t)^{e_t[j]}, and every other active z_i brings the
-    shared 1/(z_i - z_t) = sum_m z_t^m z_i^{-1-m}, negated when i > t.  A term
-    with z_t^{-p} pairs with the z_t^{p-1} coefficient of their product: the
-    sum over m_0 + sum m_i = p - 1 of C(e_t, m_0) prod z_i^{-1-m_i}.  Every
-    state exponent is at most -1, so p >= 1 and the work never depends on e_t.
-    The cached `_plan` says which products feed which output; this call only
-    multiplies and adds them, in the state's own form, and keeps every
-    output, so the output keys are the plan's.
+    Each item is (w.images reversed, column, sign).  Returns (steps, leaves),
+    each a tuple of fields with one entry per step or leaf.  Step k reads
+    state parents[k] (state 0, the root, is the factor 1/(z_1 ... z_r), 1
+    in every column), keeps only its row positions keeps[k] (None when no
+    column drops), takes the residue in variable variables[k] + 1 by the
+    plan plans[k] for the columns holds[k], and writes state k + 1;
+    lasts[k] marks the parent's last reader.  A leaf (slot, position,
+    column, sign) adds sign times entry `position` of the one row of state
+    slot, or the entry itself (position None) when the state holds one
+    column, to the column's total.
     """
-    sign, top, out_keys, sources = _plan(keys, active.index(t))
-    if len(e_t) == 1:
-        b = _binomials(sign, e_t[0], top)
-        return out_keys, [sum([rows[i] * b[m0] for i, m0 in src]) for src in sources]
-    binomials = _binomial_rows(sign, e_t, top)
-    return out_keys, [list(map(sum, zip(*[map(mul, rows[i], binomials[m0]) for i, m0 in src])))
-                      for src in sources]
+    r = len(items[0][0]) if items else 0
+    steps, leaves = [], []
 
-
-def _branches(group: list, depth: int) -> list:
-    """(t, items) per variable t that the orders of group eliminate at depth,
-    in increasing t; item[0] is an order's images reversed."""
-    by_var: dict = {}
-    for item in group:
-        by_var.setdefault(item[0][depth], []).append(item)
-    return sorted(by_var.items())
-
-
-def _residue_sum(exponents: Sequence[Sequence[int]],
-                 weighted: Sequence[Sequence[Tuple[Tuple[int, ...], int]]]) -> List[int]:
-    """For each column j, the sum of sign * IRes^w over (w.images, sign) in weighted[j].
-
-    Every column is the same rank-r integrand with its own exponents[j].  The
-    residue for w processes z_{w(r)} first and z_{w(1)} last, so orders that
-    share a prefix of reversed w share their innermost steps, across columns
-    as well; the recursion below walks the union prefix tree of every order
-    of every column once.  A node's state holds only the columns whose orders
-    pass through it, as rows of ints, or as one int per exponent tuple once a
-    single column is left.
-    """
-    r = len(exponents[0])
-    totals = [0] * len(exponents)
-    items = [(tuple(reversed(images)), j, sign)
-             for j, orders in enumerate(weighted) for images, sign in orders]
-
-    def descend(keys, rows, active, cols, group, depth):
-        # Row position i of the state is column cols[i]; items index rows.
-        if depth == r:  # keys == ((),): every variable is gone
-            for _, i, sign in group:
-                totals[cols[i]] += sign * (rows[0] if len(cols) == 1 else rows[0][i])
+    def build(keys, active, cols, group, slot):
+        # State `slot` holds the columns cols, row position k being column cols[k].
+        if not active:  # keys == ((),): every variable is gone
+            where = {j: k for k, j in enumerate(cols)} if len(cols) > 1 else {cols[0]: None}
+            leaves.extend((slot, where[j], j, sign) for _, j, sign in group)
             return
-        for t, sub in _branches(group, depth):
-            sub_rows, sub_cols = rows, cols
-            keep = sorted({i for _, i, _ in sub})
-            if len(keep) < len(cols):
-                where = {i: k for k, i in enumerate(keep)}
-                sub = [(seq, where[i], sign) for seq, i, sign in sub]
-                sub_cols = [cols[i] for i in keep]
-                sub_rows = ([row[keep[0]] for row in rows] if len(keep) == 1 else
-                            [[row[i] for i in keep] for row in rows])
-            nxt = _residue_step(keys, sub_rows, active, [exponents[j][t - 1] for j in sub_cols], t)
-            descend(*nxt, [v for v in active if v != t], sub_cols, sub, depth + 1)
+        by_var, depth = {}, r - len(active)
+        for item in group:
+            by_var.setdefault(item[0][depth], []).append(item)
+        for t, sub in sorted(by_var.items()):
+            held = {j for _, j, _ in sub} if len(cols) > 1 else cols
+            sub_cols, keep = cols, None
+            if len(held) < len(cols):
+                sub_cols = tuple(sorted(held))
+                keep = tuple(map({j: k for k, j in enumerate(cols)}.get, sub_cols))
+            plan = _plan(keys, active.index(t))
+            child = len(steps)
+            steps.append([slot, t - 1, plan, keep, sub_cols, False])
+            build(plan[2], [v for v in active if v != t], sub_cols, sub, child + 1)
+        steps[child][-1] = True
 
-    # The explicit 1/(z_1 ... z_r) factor; everything else enters step by step.
-    columns = list(range(len(exponents)))
-    root = [1] if len(columns) == 1 else [[1] * len(columns)]
-    descend(((-1,) * r,), root, list(range(1, r + 1)), columns, items, 0)
-    return totals
+    build(((-1,) * r,), list(range(1, r + 1)), tuple(range(width)), items, 0)
+    del build  # a cycle through its own closure, which would hold steps until a GC pass
+    return tuple(zip(*steps)), tuple(zip(*leaves))
 
 
 @lru_cache(maxsize=1024)
 def _program(chamber: bytes) -> tuple:
-    """The residue walk of the special orders of a chamber, compiled once.
+    """The one-column program of the special orders of a chamber, compiled once.
 
-    Returns (parents, variables, plans, slots, signs).  Step k, in depth-first
-    order of the orders' prefix tree, reads state parents[k] (state 0 is the
-    root [1]), takes the residue in variable variables[k] + 1 by the plan
-    plans[k], and writes state k + 1.  Order n's residue is the one entry of
-    state slots[n], weighted by signs[n].  The plans depend on the prefix
-    alone, so the program serves every vector of the chamber, whatever its
-    exponents; it holds the plans themselves and two small ints per step.
+    Its plans depend on the elimination prefix alone, so it serves every
+    vector of the chamber, whatever its exponents.
     """
-    r = len(chamber).bit_length() - 1
-    parents, variables, plans, slots, signs = [], [], [], [], []
-
-    def build(keys, active, group, slot):
-        if not active:
-            slots.extend(slot for _ in group)
-            signs.extend(sign for _, sign in group)
-            return
-        for t, sub in _branches(group, r - len(active)):
-            plan = _plan(keys, active.index(t))
-            parents.append(slot)
-            variables.append(t - 1)
-            plans.append(plan)
-            build(plan[2], [v for v in active if v != t], sub, len(plans))
-
-    build(((-1,) * r,), list(range(1, r + 1)),
-          [(images[::-1], sign) for images, sign in _special_orders(chamber)], 0)
-    return tuple(parents), tuple(variables), tuple(plans), tuple(slots), tuple(signs)
+    return _compile([(images[::-1], 0, sign) for images, sign in _special_orders(chamber)], 1)
 
 
-def _run(program: tuple, exponents: Sequence[int]) -> int:
-    """The alternating residue sum of one vector: its chamber's program run
-    on its exponents, with no regrouping and no plan lookup."""
-    parents, variables, plans, slots, signs = program
-    states = [[1]]
-    for parent, v, (sign, top, _, sources) in zip(parents, variables, plans):
-        b = _binomials(sign, exponents[v], top)
+def _run(program: tuple, exponent_columns: Sequence[Sequence[int]]) -> List[int]:
+    """Per exponent column, the signed sum of the residues of its orders in `program`.
+
+    A state gives the coefficient of each exponent tuple of its plan's
+    out_keys over the variables still active: a row of ints, one per column
+    it holds, or the int itself once it holds a single column.  Column j has
+    the factor (1+z_t)^{e_t[j]}, and every other active z_i brings the shared
+    1/(z_i - z_t) = sum_m z_t^m z_i^{-1-m}, negated when i > t.  A term with
+    z_t^{-p} pairs with the z_t^{p-1} coefficient of their product: the sum
+    over m_0 + sum m_i = p - 1 of C(e_t, m_0) prod z_i^{-1-m_i}.  Every state
+    exponent is at most -1, so p >= 1 and the work never depends on e_t.  A
+    step's bound plan says which products feed which output, so a step only
+    narrows its parent's rows to the columns it holds, then multiplies and
+    adds, in the state's own form, and keeps every output.
+    """
+    steps, leaves = program
+    width = len(exponent_columns)
+    states = [[1] if width == 1 else [[1] * width]]
+    for parent, v, (sign, top, _, sources), keep, cols, last in zip(*steps):
         vals = states[parent]
-        states.append([sum([vals[i] * b[m0] for i, m0 in src]) for src in sources])
-    return sum(sign * states[slot][0] for slot, sign in zip(slots, signs))
+        if last:
+            states[parent] = None
+        if keep is not None:  # itemgetter of one position gives the int itself
+            vals = list(map(itemgetter(*keep), vals))
+        if len(cols) == 1:
+            b = _binomials(sign, exponent_columns[cols[0]][v], top)
+            states.append([sum([vals[i] * b[m0] for i, m0 in src]) for src in sources])
+        else:
+            b = _binomial_rows(sign, [exponent_columns[j][v] for j in cols], top)
+            states.append([list(map(sum, zip(*[map(mul, vals[i], b[m0]) for i, m0 in src])))
+                           for src in sources])
+    totals = [0] * width
+    for slot, position, column, sign in zip(*leaves):
+        value = states[slot][0]
+        totals[column] += sign * (value if position is None else value[position])
+    return totals
 
 
 def _sized(exponents: Sequence[int], size: int) -> Tuple[int, ...]:
@@ -287,8 +254,7 @@ def iterated_residue(w: Permutation, exponents: Sequence[int]):
     `exponents` are the numerator exponents (e_1, ..., e_r) of the standard
     integrand; the denominator z_1...z_r prod_{i<j}(z_i - z_j) is implicit.
     """
-    exponents = _sized(exponents, len(w))
-    return _residue_sum([exponents], [[(w.images, 1)]])[0]
+    return _run(_compile([(w.images[::-1], 0, 1)], 1), [_sized(exponents, len(w))])[0]
 
 
 def iterated_residue_by_substitution(w: Permutation, exponents: Sequence[int]):
@@ -299,9 +265,8 @@ def iterated_residue_by_substitution(w: Permutation, exponents: Sequence[int]):
     sign(w) from reordering the difference factors; the residues are then
     taken in the standard order.  Must agree with `iterated_residue`.
     """
-    exponents = _sized(exponents, len(w))
-    permuted = w.apply(exponents)
-    return w.signature * _residue_sum([permuted], [[(tuple(range(1, len(w) + 1)), 1)]])[0]
+    permuted = w.apply(_sized(exponents, len(w)))
+    return w.signature * _run(_compile([(tuple(range(len(w), 0, -1)), 0, 1)], 1), [permuted])[0]
 
 
 def _exponents(a: Tuple[int, ...]) -> List[int]:
@@ -310,7 +275,8 @@ def _exponents(a: Tuple[int, ...]) -> List[int]:
 
 
 def partition_total(a: Sequence, regularised: Sequence):
-    """The alternating residue sum for a, with orders drawn from `regularised`.
+    """The partition count of a, with orders drawn from `regularised`: the
+    alternating residue sum in the cone of positive roots, 0 outside it.
 
     Exposed separately so that deformation insensitivity can be exercised
     directly: a regular vector, or any vector of its chamber, selects the
@@ -321,10 +287,13 @@ def partition_total(a: Sequence, regularised: Sequence):
     chamber.  It need not be regular: a zero subset sum reads as
     non-negative, as it does in the deformation of an integral vector, so
     for integral a, partition_total(a, a) equals partition_total(a, deform(a)).
+    Both vectors are checked, in the cone or not.
     """
+    a = root_vector(a)
     regularised, = scaled_ints(regularised)
-    exponents = _sized(_exponents(root_vector(a)), len(regularised) - 1)
-    return _run(_program(_order_chamber(regularised)), exponents)
+    exponents = _sized(_exponents(a), len(regularised) - 1)
+    chamber = _order_chamber(regularised)
+    return _run(_program(chamber), [exponents])[0] if min(accumulate(a)) >= 0 else 0
 
 
 CacheInfo = namedtuple("CacheInfo", "hits misses maxsize currsize")
@@ -353,12 +322,12 @@ _partition_of = _Memo(1 << 15)
 def partition_counts(vectors: Sequence[Sequence[int]]) -> List[int]:
     """Partition counts of integral zero-sum vectors, in input order.
 
-    Repeats and earlier results come from the memo; the rest are counted by
-    one batched residue walk per rank, or by its chamber's program when it is
-    the only fresh vector of its rank (zero outside the cone).  Each vector
-    is checked by root_vector, so a bad one raises its ValidationError code,
-    and an in-cone one above the rank limit of subset_sums raises
-    rank-too-large before its chamber key is built.
+    Repeats and earlier results come from the memo, and a vector outside the
+    cone counts zero.  The rest are counted by one compiled program per
+    rank, or by its chamber's cached program when it is the only fresh
+    vector of its rank.  Each vector is checked by root_vector, so a bad one
+    raises its ValidationError code, and an in-cone one above the rank limit
+    of subset_sums raises rank-too-large before its chamber key is built.
     """
     memo = _partition_of
     keys = [root_vector(a) for a in vectors]
@@ -374,10 +343,11 @@ def partition_counts(vectors: Sequence[Sequence[int]]) -> List[int]:
             by_rank.setdefault(len(a), []).append(a)
     for batch in by_rank.values():
         if len(batch) == 1:
-            fresh[batch[0]] = _run(_program(_chamber(batch[0])), _exponents(batch[0]))
-            continue
-        weighted = [_special_orders(_chamber(a)) for a in batch]
-        fresh.update(zip(batch, _residue_sum([_exponents(a) for a in batch], weighted)))
+            program = _program(_chamber(batch[0]))
+        else:
+            program = _compile([(images[::-1], j, sign) for j, a in enumerate(batch)
+                                for images, sign in _special_orders(_chamber(a))], len(batch))
+        fresh.update(zip(batch, _run(program, [_exponents(a) for a in batch])))
     memo.misses += len(fresh)
     memo.hits += len(keys) - len(fresh)
     out = [fresh[a] if a in fresh else memo[a] for a in keys]

@@ -18,12 +18,11 @@ from kostant.residues import (
     _binomial_rows,
     _binomials,
     _chamber,
+    _compile,
     _exponents,
     _partition_of,
     _plan,
     _program,
-    _residue_step,
-    _residue_sum,
     _run,
     _special_orders,
     iterated_residue,
@@ -34,6 +33,11 @@ from kostant.residues import (
     special_permutations,
 )
 from kostant.vectors import DominantWeight, ValidationError, deform, in_positive_cone, is_regular, theta
+
+
+def _steps(program):
+    """A program's steps as (parent, variable, plan, keep, holds, last) tuples."""
+    return list(zip(*program[0]))
 
 
 def binomial(e, m):
@@ -214,6 +218,19 @@ class TestPartitionTotal:
             partition_total((1, -1), (1, 2))
         assert err.value.code == "not-zero-sum"
 
+    def test_outside_the_cone_is_zero(self):
+        # The bare alternating residue sum of these chambers is not zero:
+        # (-1, 1) reads 1 and (-3, -3, 6) reads -3.
+        assert partition_total((-1, 1), (-1, 1)) == 0
+        assert partition_total((-3, -3, 6), (-3, -3, 6)) == 0
+        outside = [a for r in (1, 2, 3) for a in _zero_sum_box(r, 3) if not in_positive_cone(a)]
+        assert len(outside) == 243
+        raw = [_run(_program(_chamber(a)), [_exponents(a)])[0] for a in outside]
+        assert sum(1 for v in raw if v) == 70
+        for a in outside:
+            assert partition_total(a, a) == 0 == kostant_partition(a), a
+            assert partition_total(a, deform(a)) == 0, a
+
     def test_orders_from_a_non_regular_vector(self):
         # A zero subset sum reads as non-negative, as in the deformation.
         assert partition_total((1, 0, -1), (1, -1, 0)) == 2 == kostant_partition((1, 0, -1))
@@ -372,17 +389,47 @@ class TestPartitionCounts:
     @pytest.mark.parametrize("r, steps", [(4, 6), (5, 15), (6, 39)])
     def test_theta_takes_one_step_per_distinct_order_prefix(self, monkeypatch, r, steps):
         # Walking each term on its own takes 72, 438 and 3582 steps.
-        calls = []
-        step = residues._residue_step
+        taken = []
+        run = residues._run
 
-        def counted(*args):
-            calls.append(args[-1])
-            return step(*args)
+        def counted(program, exponent_columns):
+            taken.append(len(_steps(program)))
+            return run(program, exponent_columns)
 
-        monkeypatch.setattr(residues, "_residue_step", counted)
+        monkeypatch.setattr(residues, "_run", counted)
         _partition_of.cache_clear()
+        _program.cache_clear()
         assert multiplicity(theta(r), (0,) * (r + 1)) == 2 ** (r * (r - 1) // 2)
-        assert len(calls) == steps
+        assert taken == [steps]
+
+    def test_mixed_call_runs_a_cached_program_and_a_compiled_batch(self, monkeypatch):
+        # Rank 3 has one fresh vector, so it runs its chamber's cached
+        # program; rank 4 has three, compiled together into one program.
+        lone, batch = (2, 1, -1, -2), [(3, -1, 0, -2, 0), (1, 1, -1, 0, -1), (2, 0, -1, -1, 0)]
+        vectors = [batch[0], lone, batch[1], batch[0], batch[2], lone]
+        expected = []
+        for a in vectors:
+            _partition_of.cache_clear()
+            expected.append(kostant_partition(a))
+        widths = []
+        compile_ = residues._compile
+
+        def spied(items, width):
+            widths.append(width)
+            return compile_(items, width)
+
+        monkeypatch.setattr(residues, "_compile", spied)
+        _partition_of.cache_clear()
+        _program.cache_clear()
+        assert partition_counts(vectors) == expected
+        assert expected[1] == 13
+        assert sorted(widths) == [1, 3]
+        assert _program.cache_info().misses == 1
+        info = _partition_of.cache_info()
+        assert (info.hits, info.misses, info.currsize) == (2, 4, 4)
+        assert partition_counts(vectors) == expected
+        assert sorted(widths) == [1, 3]
+        assert _partition_of.cache_info()[:2] == (8, 4)
 
 
 def _cheap_stream(seed, count):
@@ -425,35 +472,51 @@ class TestCompiledStep:
                 assert [_binomials(sign, e, 12)[m] for e in exponents] == row
 
     def test_one_column_step_is_a_column_of_the_rows_step(self):
-        # keys[0] has a pole of order 2 at z_2, so with e_t = 0 the C(0, 1) = 0
-        # term gives an output that comes out zero.  Both forms keep it: the
-        # output keys are the plan's, whatever the exponents.
-        keys, active = ((-1, -2), (-2, -1)), [1, 2]
-        rows = [[1, 1, 2], [3, -1, 0]]
-        e_t = [0, 5, -4]
-        wide_keys, wide = _residue_step(keys, rows, active, e_t, 2)
-        assert wide_keys == _plan(keys, 1)[2]
-        for j, e in enumerate(e_t):
-            got_keys, got = _residue_step(keys, [row[j] for row in rows], active, [e], 2)
+        # Every order of rank 3 in each of three columns: no column ever drops,
+        # so the batch program runs the rows kernel at every step, on the same
+        # plans as the one-column program of those orders.  The exponents
+        # include 0, where C(0, 1) = 0 makes some outputs zero; a state of
+        # either form is indexed by its step's bound plan, zero or not.
+        orders = [(images[::-1], sign) for images, sign in _special_orders(_chamber((2, -1, 1, -2)))]
+        orders += [(tuple(images), 1) for images in itertools.permutations((1, 2, 3))]
+        wide = _compile([(seq, j, sign) for j in range(3) for seq, sign in orders], 3)
+        narrow = _compile([(seq, 0, sign) for seq, sign in orders], 1)
+        assert all(keep is None and holds == (0, 1, 2) for _, _, _, keep, holds, _ in _steps(wide))
+        assert [step[2] for step in _steps(wide)] == [step[2] for step in _steps(narrow)]
+        for columns in [((0, 5, -4), (3, 0, 0), (-2, 1, 7)), ((0, 0, 0), (1, -1, 0), (10**9, -10**9, 2))]:
+            got = _run(wide, columns)
             assert all(type(v) is int for v in got)
-            assert got_keys == wide_keys
-            assert got == [row[j] for row in wide], e
-        assert any(not row[0] for row in wide)  # so column 0 kept a zero output
+            assert got == [_run(narrow, [exponents])[0] for exponents in columns], columns
 
     def test_narrowing_reaches_the_one_column_kernel(self, monkeypatch):
-        widths = []
-        step = residues._residue_step
+        programs = []
+        compile_ = residues._compile
 
-        def spied(keys, rows, active, e_t, t):
-            widths.append((len(e_t), len(active)))
-            return step(keys, rows, active, e_t, t)
+        def spied(items, width):
+            programs.append(compile_(items, width))
+            return programs[-1]
 
-        monkeypatch.setattr(residues, "_residue_step", spied)
+        monkeypatch.setattr(residues, "_compile", spied)
         _partition_of.cache_clear()
         batch = [(2, -1, 1, -2), (1, 1, -1, -1)]
         assert partition_counts(batch) == [kostant_partition_bruteforce(a) for a in batch] == [4, 5]
-        # The walk is depth first, so a step's first child step comes right after it.
-        assert ((2, 3), (1, 2)) in zip(widths, widths[1:])
+        # The walk is depth first, so step k's first child step is step k + 1,
+        # whose parent is state k + 1.
+        steps = _steps(programs[-1])
+        assert any(len(steps[k][4]) == 2 and steps[k + 1][0] == k + 1 and steps[k + 1][3] is not None
+                   and len(steps[k + 1][4]) == 1 for k in range(len(steps) - 1))
+        # A multiplicity's terms share one program: theta(5)'s 66 narrow to
+        # 6, 12 and 18 columns, and the three of m_(2,1,0,-3)(0) to one.
+        _partition_of.cache_clear()
+        assert multiplicity(theta(5), (0,) * 6) == 1024
+        steps = _steps(programs[-1])
+        assert len(steps) == 15 and len(steps[0][4]) == 66
+        assert {len(holds) for _, _, _, keep, holds, _ in steps if keep is not None} == {6, 12, 18}
+        _partition_of.cache_clear()
+        assert multiplicity((2, 1, 0, -3), (0, 0, 0, 0)) == 8
+        steps = _steps(programs[-1])
+        assert len(steps[0][4]) == 3
+        assert any(keep is not None and len(holds) == 1 for _, _, _, keep, holds, _ in steps)
 
     @settings(max_examples=80, deadline=None)
     @given(_cone_vectors())
@@ -566,10 +629,11 @@ class TestChamberOrders:
 
 
 @st.composite
-def _small_vectors(draw):
-    """Zero-sum vectors of ranks 1-6 made of up to three signed roots, so in
-    the cone or outside it, with entries small enough for the DP oracle."""
-    r = draw(st.integers(1, 6))
+def _small_vectors(draw, r=None):
+    """Zero-sum vectors of ranks 1-6 (or of rank r) made of up to three signed
+    roots, so in the cone or outside it, with entries small enough for the
+    DP oracle."""
+    r = draw(st.integers(1, 6)) if r is None else r
     a = [0] * (r + 1)
     for _ in range(draw(st.integers(0, 3))):
         i, j = draw(st.lists(st.integers(0, r), min_size=2, max_size=2, unique=True))
@@ -580,26 +644,36 @@ def _small_vectors(draw):
     return tuple(a)
 
 
+def _small_batches():
+    """One to four small vectors of one rank."""
+    return st.integers(1, 6).flatmap(lambda r: st.lists(_small_vectors(r), min_size=1, max_size=4))
+
+
 class TestChamberProgram:
     @settings(max_examples=150, deadline=None)
-    @given(_small_vectors())
-    @example((0, 0))
-    @example((0,) * 7)
-    @example((-1, 1))
-    @example((1, -2, 0, 0, 0, 0, 1))
-    def test_program_walk_is_a_column_of_the_union_walk(self, a):
-        # The residue sum itself, in the cone or not: the program against the
-        # batched union walk, with a beside unrelated vectors of its rank.
-        r = len(a) - 1
-        batch = [(1,) + (0,) * (r - 1) + (-1,), (r,) + (-1,) * r, (2, -2) + (0,) * (r - 1), a]
-        union = _residue_sum([_exponents(b) for b in batch], [_special_orders(_chamber(b)) for b in batch])
-        assert _run(_program(_chamber(a)), _exponents(a)) == union[-1], a
-        # The count: a lone fresh vector runs its program (zero outside the cone).
-        _partition_of.cache_clear()
-        alone = partition_counts([a])[0]
-        assert alone == kostant_partition_bruteforce(a), a
-        if in_positive_cone(a):
-            assert alone == union[-1]
+    @given(_small_batches())
+    @example([(0, 0), (-1, 1)])
+    @example([(0,) * 7, (1, -2, 0, 0, 0, 0, 1)])
+    def test_program_walk_is_a_column_of_the_union_walk(self, drawn):
+        # The residue sum itself, in the cone or not: each column of a batch
+        # program, beside vectors of other chambers, against the vector's own
+        # chamber program, and its count against the DP oracle.
+        r = len(drawn[0]) - 1
+        others = [(1,) + (0,) * (r - 1) + (-1,), (r,) + (-1,) * r, (2, -2) + (0,) * (r - 1),
+                  (-1,) + (0,) * (r - 1) + (1,)]
+        batch = others + drawn
+        assert len({_chamber(a) for a in batch}) > 1
+        items = [(images[::-1], j, sign) for j, a in enumerate(batch)
+                 for images, sign in _special_orders(_chamber(a))]
+        union = _run(_compile(items, len(batch)), [_exponents(a) for a in batch])
+        for a, total in zip(batch, union):
+            assert _run(_program(_chamber(a)), [_exponents(a)]) == [total], a
+            # The count: a lone fresh vector runs its program (zero outside the cone).
+            _partition_of.cache_clear()
+            alone = partition_counts([a])[0]
+            assert alone == (total if in_positive_cone(a) else 0), a
+            if a in drawn:
+                assert alone == kostant_partition_bruteforce(a), a
 
     def test_warm_chamber_counts_without_plans_or_steps(self, monkeypatch):
         a, b = (2, -1, 1, 0, -2), (4, -2, 2, 0, -4)  # b = 2a: one chamber
@@ -609,9 +683,9 @@ class TestChamberProgram:
         assert partition_counts([a]) == [kostant_partition_bruteforce(a)]
 
         def refused(*args):
-            raise AssertionError("a warm one-vector count looked up a plan or took a union step")
+            raise AssertionError("a warm one-vector count compiled a program or looked up a plan")
 
-        for name in ("_plan", "_residue_step", "_special_orders"):
+        for name in ("_compile", "_plan", "_special_orders"):
             monkeypatch.setattr(residues, name, refused)
         assert partition_counts([b]) == [expected]
 
@@ -629,7 +703,7 @@ class TestChamberProgram:
     def test_program_eviction_keeps_values(self, monkeypatch):
         stream = list(_cheap_stream(9, 400))
         _partition_of.cache_clear()
-        expected = partition_counts(stream)  # one union walk per rank
+        expected = partition_counts(stream)  # one compiled program per rank
         tiny = lru_cache(maxsize=8)(_program.__wrapped__)
         monkeypatch.setattr(residues, "_program", tiny)
         _partition_of.cache_clear()
