@@ -2,17 +2,20 @@
 
 A permutation w contributes to the Kostant multiplicity sum for (u, v) when
 w(u) - v lies in the positive-root cone, i.e. when every partial sum
-u_{w(1)} + ... + u_{w(k)} dominates v_1 + ... + v_k.  Couples (w1, w2) for
-the tensor sum satisfy the same inequalities for w1(u1) + w2(u2) against v.
-Rational input is scaled once by the lcm of its denominators, which keeps
-every comparison, so the partial sums are ints.  Both searches extend
-prefixes position by position, carrying the partial sums, against the
-cumulative sums of v; candidates are visited in decreasing order of their
-contribution so a failed bound cuts the rest of the loop.  Prefixes that can
-no longer satisfy the current inequality are never extended, so the
-factorial set is never materialised.  Each prefix also carries its inversion
-count (appending i adds the number of larger entries already placed), so no
-result recounts it for its signature.
+u_{w(1)} + ... + u_{w(k)} dominates v_1 + ... + v_k.  Rational input is
+scaled once by the lcm of its denominators, which keeps every comparison, so
+the partial sums are ints.  The search extends prefixes position by
+position, carrying the partial sums, against the cumulative sums of v;
+candidates are visited in decreasing order of their contribution so a failed
+bound cuts the rest of the loop.  Prefixes that can no longer satisfy the
+current inequality are never extended, so the factorial set is never
+materialised.  Each prefix also carries its inversion count (appending i
+adds the number of larger entries already placed), so no result recounts it
+for its signature.
+
+Couples (w1, w2) for the tensor sum need w1(u1) + w2(u2) - v in the cone:
+for a fixed w2 that is Kostant's condition on w1 against v - w2(u2), so the
+couples come from the same search, run for w2 and then for each w2's w1.
 
 The tensor sum searches a third set the same way: the w for which
 w(a) - b is a weight of V(lam) (Brauer-Klimyk), pruned on each entry and
@@ -30,23 +33,25 @@ from typing import List, Sequence, Tuple
 from .permutations import Permutation
 from .vectors import ValidationError, scaled_ints
 
-# The most prefixes any search keeps between two positions.  The benchmark's
-# queries peak at 402 (theta(6)) and the test suite at 10944 (a rank-4 couple
-# search); theta(7)'s multiplicity reaches 2466, theta(8)'s 19824 and
-# theta(9)'s 162192, which takes a second to build.
+# The most prefixes any search keeps between two positions, and the most
+# couples valid_couples returns.  The benchmark's queries peak at 402
+# (theta(6)) and the test suite at 10944 (the couples of a rank-4 query);
+# theta(7)'s multiplicity reaches 2466, theta(8)'s 19824 and theta(9)'s
+# 162192, which takes a second to build.
 FRONTIER_LIMIT = 16384
 
 
 class BudgetExceeded(RuntimeError):
     """A query refused past a cost limit, tagged with its code: a search past
-    FRONTIER_LIMIT prefixes, or a sum past formulas.TERM_LIMIT terms."""
+    FRONTIER_LIMIT prefixes, a couple list past FRONTIER_LIMIT couples, or a
+    sum past formulas.TERM_LIMIT terms."""
 
     code = "budget-exceeded"
 
 
 def _bounded(frontier: list) -> list:
     if len(frontier) > FRONTIER_LIMIT:
-        raise BudgetExceeded(f"the search frontier passed {FRONTIER_LIMIT} prefixes; the query is too large")
+        raise BudgetExceeded(f"a search passed {FRONTIER_LIMIT} prefixes or couples; the query is too large")
     return frontier
 
 
@@ -87,10 +92,10 @@ def valid_permutations(u: Sequence, v: Sequence) -> List[Permutation]:
 def valid_couples(u1: Sequence, u2: Sequence, v: Sequence) -> List[Tuple[Permutation, Permutation]]:
     """All couples (w1, w2) with w1(u1) + w2(u2) - v in the positive-root cone.
 
-    Both prefixes grow in lockstep (position k of each before position k+1),
-    pruning on the combined partial sum.  The first component is additionally
-    screened against the best completion by the second, which prunes without
-    losing couples.
+    Two Kostant searches: the w2 for which w2(u2) plus the k largest entries
+    of u1 reaches v's k-th partial sum for every k, then for each the w1 with
+    w1(u1) - (v - w2(u2)) in the cone, ties accepted.  FRONTIER_LIMIT bounds
+    the w2 search, each w1 search and the running list of couples.
     """
     u1, u2, v = scaled_ints(u1, u2, v)
     n = len(v)
@@ -99,32 +104,11 @@ def valid_couples(u1: Sequence, u2: Sequence, v: Sequence) -> List[Tuple[Permuta
     if sum(u1) + sum(u2) != sum(v):
         raise ValidationError("unequal-sums", "sum(u1) + sum(u2) must equal sum(v)")
 
-    order1 = sorted(enumerate(u1, 1), key=itemgetter(1), reverse=True)
-    order2 = sorted(enumerate(u2, 1), key=itemgetter(1), reverse=True)
-    frontier = [((), (), 0, 0, 0, 0, 0)]  # prefixes, masks, partial sum, inversion counts
-    for bound in accumulate(v):
-        extended = []
-        for p1, p2, m1, m2, s, inv1, inv2 in frontier:
-            best2 = next(y for j, y in order2 if not (m2 >> j) & 1)
-            for i, x in order1:
-                if (m1 >> i) & 1:
-                    continue
-                s1 = s + x
-                if s1 + best2 < bound:
-                    break
-                q1, n1, i1 = p1 + (i,), m1 | (1 << i), inv1 + (m1 >> i).bit_count()
-                for j, y in order2:
-                    if (m2 >> j) & 1:
-                        continue
-                    s2 = s1 + y
-                    if s2 < bound:
-                        break
-                    extended.append((q1, p2 + (j,), n1, m2 | (1 << j), s2,
-                                     i1, inv2 + (m2 >> j).bit_count()))
-        frontier = _bounded(extended)
-    found = sorted((p1, p2, inv1, inv2) for p1, p2, _, _, _, inv1, inv2 in frontier)
-    return [(Permutation._searched(p1, inv1), Permutation._searched(p2, inv2))
-            for p1, p2, inv1, inv2 in found]
+    found = []
+    for w2 in valid_permutations(u2, [b - x for b, x in zip(v, sorted(u1, reverse=True))]):
+        found.extend((w1, w2) for w1 in valid_permutations(u1, [b - u2[j - 1] for b, j in zip(v, w2.images)]))
+        _bounded(found)
+    return sorted(found, key=lambda c: (c[0].images, c[1].images))
 
 
 def weyl_candidates(lam: Sequence[int], a: Sequence[int], b: Sequence[int]) -> List[Tuple[int, Tuple[int, ...]]]:

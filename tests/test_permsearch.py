@@ -2,6 +2,7 @@
 
 import itertools
 import random
+import time
 from fractions import Fraction
 
 import pytest
@@ -147,20 +148,29 @@ class TestValidCouples:
         ]
 
     def test_matches_brute_force(self):
+        # Ranks 1-4, three kinds of case in turn: random entries; u1 and u2
+        # with a repeated entry; u1 with one extreme entry that v's first
+        # entry asks for, against a low rest of v, so the w2 search keeps
+        # nearly every w2 and the w1 searches do the cutting.
         rng = random.Random(17)
-        for _ in range(60):
-            n = rng.randint(2, 3)
-            u1 = [rng.randint(-3, 3) for _ in range(n - 1)]
-            u1.append(-sum(u1))
-            u2 = [rng.randint(-3, 3) for _ in range(n - 1)]
-            u2.append(-sum(u2))
-            v = [rng.randint(-2, 4) for _ in range(n - 1)]
-            v.append(-sum(v))
-            got = valid_couples(tuple(u1), tuple(u2), tuple(v))
-            expected = brute_couples(tuple(u1), tuple(u2), tuple(v))
-            assert [
-                (a.images, b.images) for a, b in got
-            ] == [(a.images, b.images) for a, b in expected], (u1, u2, v)
+        found = 0
+        for n, count in ((2, 24), (3, 24), (4, 12), (5, 6)):
+            for case in range(count):
+                u1, u2 = ([rng.randint(-3, 3) for _ in range(n)] for _ in range(2))
+                v = [rng.randint(-2, 4) for _ in range(n)]
+                if case % 3 == 1:
+                    u1[-1], u2[-1] = u1[0], u2[0]
+                elif case % 3 == 2:
+                    u1[rng.randrange(n)] = 20
+                    v = [20 - rng.randint(0, 4)] + [rng.randint(-3, 1) for _ in range(n - 1)]
+                v[-1] += sum(u1) + sum(u2) - sum(v)
+                got = valid_couples(tuple(u1), tuple(u2), tuple(v))
+                expected = brute_couples(tuple(u1), tuple(u2), tuple(v))
+                assert [
+                    (a.images, b.images) for a, b in got
+                ] == [(a.images, b.images) for a, b in expected], (u1, u2, v)
+                found += len(got)
+        assert found > 5000
 
 
 class TestRationalInputIsScaled:
@@ -287,7 +297,8 @@ class TestWeylCandidates:
 
 
 class TestFrontierLimit:
-    """Every search refuses a frontier past FRONTIER_LIMIT prefixes."""
+    """Every search refuses a frontier past FRONTIER_LIMIT prefixes, and
+    valid_couples a list past FRONTIER_LIMIT couples."""
 
     @pytest.mark.parametrize("search, args", [
         (valid_permutations, ((3, 2, 1, 0, -6), (0, 0, 0, 0, 0))),
@@ -300,3 +311,20 @@ class TestFrontierLimit:
         with pytest.raises(BudgetExceeded) as err:
             search(*args)
         assert err.value.code == "budget-exceeded"
+
+    def test_running_couple_list_is_bounded(self, monkeypatch):
+        # two w2 candidates and at most two w1 each, but three couples: at a
+        # limit of 2 only the running list of couples passes it
+        monkeypatch.setattr(permsearch, "FRONTIER_LIMIT", 2)
+        assert len(valid_permutations((1, -1), (-1, 1))) == 2  # the w2 search
+        with pytest.raises(BudgetExceeded):
+            valid_couples((1, -1), (1, -1), (0, 0))
+
+    def test_theta_couples_at_the_default_limit(self):
+        theta5 = (4, 3, 2, 1, 0, -10)
+        start = time.perf_counter()
+        with pytest.raises(BudgetExceeded):
+            valid_couples(theta5, theta5, (0,) * 6)
+        assert time.perf_counter() - start < 1.0
+        theta4 = (3, 2, 1, 0, -6)
+        assert len(valid_couples(theta4, theta4, (0,) * 5)) == 3228
