@@ -20,9 +20,10 @@ form of gamma, their signs added, and each gamma left with a non-zero sign
 contributes the Kostant terms of its multiplicity, so one coefficient is
 one alternating partition sum.  (The paper's form, Steinberg's double sum
 over couples (w1, w2), has many times the terms; kostant/arbitration.py
-keeps it to arbitrate its couple sign.)  The arguments of one sum are
-counted in-process by one batched call of partition_counts, and a sum of
-more than TERM_LIMIT terms is refused with BudgetExceeded before it.
+keeps it to arbitrate its couple sign.)  The arguments of one sum are int
+tuples built here, so they are counted in-process by one batched call of the
+engine's unchecked residues._counts, and a sum of more than TERM_LIMIT terms
+is refused with BudgetExceeded before it.
 
 Every w fixes the multiples of (1, ..., 1), so translating the weights by
 such multiples (balanced on both sides) and rho by (r/2)(1, ..., 1) leaves
@@ -46,7 +47,7 @@ from typing import Iterable, List, NamedTuple, Sequence, Tuple, Union
 
 from .parallel import map_counts
 from .permsearch import BudgetExceeded, valid_permutations, weyl_candidates
-from .residues import partition_counts
+from .residues import _counts
 from .vectors import Exact, _exact, weight_pair, weight_triple
 
 
@@ -77,7 +78,7 @@ def _alternating_sum(terms: Iterable[Tuple[int, Tuple[int, ...]]]) -> int:
     terms = list(islice(terms, TERM_LIMIT + 1))
     if len(terms) > TERM_LIMIT:
         raise BudgetExceeded(f"the sum has more than {TERM_LIMIT} terms; the query is too large")
-    values = map_counts(partition_counts, [arg for _, arg in terms])
+    values = map_counts(_counts, [arg for _, arg in terms])
     return sum(sign * value for (sign, _), value in zip(terms, values))
 
 

@@ -22,8 +22,9 @@ alone, of which exponent tuples arise and from which (entry, m_0) pairs,
 and an apply that does only integer multiply-adds.  Orders that share a
 prefix share their steps, so one walker runs a compiled program: the union
 prefix tree of a set of orders over one or more exponent columns, flattened
-depth first.  A chamber's program is compiled once and serves every vector
-of the chamber; the fresh vectors of one rank are compiled together.
+depth first.  The fresh vectors of one rank run the program of their
+chamber sequence, compiled once per sequence, and a run binds each
+variable's binomials once.
 """
 
 from __future__ import annotations
@@ -34,6 +35,7 @@ from itertools import accumulate
 from operator import add, itemgetter, mul
 from typing import List, Sequence, Tuple
 
+from .permsearch import _bounded
 from .permutations import Permutation
 from .vectors import ValidationError, int_entries, root_vector, scaled_ints, subset_sums
 
@@ -81,7 +83,7 @@ def _special_orders(chamber: bytes) -> Tuple[Tuple[Tuple[int, ...], int], ...]:
             for j in candidates:
                 if not (mask >> j) & 1:
                     extended.append((prefix + (j,), mask | (1 << j), sign))
-        frontier = extended
+        frontier = _bounded(extended)
     orders = ((prefix, sign) for prefix, _, sign in frontier)
     return tuple(_SHARED.setdefault(order, order) for order in orders)
 
@@ -132,17 +134,17 @@ def _plan(keys: Tuple[Tuple[int, ...], ...], tpos: int):
             tuple(share(src, src) for src in map(tuple, sources.values())))
 
 
-def _binomials(sign: int, e: int, top: int) -> List[int]:
-    """sign * C(e, m) for m < top: C(e, m-1) (e-m+1) / m, exact for any e."""
-    b = [sign]
+def _binomials(e: int, top: int) -> List[int]:
+    """C(e, m) for m < top: C(e, m-1) (e-m+1) / m, exact for any e."""
+    b = [1]
     for m in range(1, top):
         b.append(b[-1] * (e - m + 1) // m)
     return b
 
 
-def _binomial_rows(sign: int, e_t: Sequence[int], top: int) -> List[List[int]]:
-    """Row m < top is sign * C(e, m) per e in e_t, by the recurrence of `_binomials`."""
-    rows = [[sign] * len(e_t)]
+def _binomial_rows(e_t: Sequence[int], top: int) -> List[List[int]]:
+    """Row m < top is C(e, m) per e in e_t, by the recurrence of `_binomials`."""
+    rows = [[1] * len(e_t)]
     for m in range(1, top):
         rows.append([b * (e - m + 1) // m for b, e in zip(rows[-1], e_t)])
     return rows
@@ -152,25 +154,26 @@ def _compile(items: list, width: int) -> tuple:
     """The walk of the union prefix tree of weighted orders over `width`
     exponent columns, flattened depth first; it never reads the exponents.
 
-    Each item is (w.images reversed, column, sign).  Returns (steps, leaves),
-    each a tuple of fields with one entry per step or leaf.  Step k reads
-    state parents[k] (state 0, the root, is the factor 1/(z_1 ... z_r), 1
-    in every column), keeps only its row positions keeps[k] (None when no
-    column drops), takes the residue in variable variables[k] + 1 by the
-    plan plans[k] for the columns holds[k], and writes state k + 1;
-    lasts[k] marks the parent's last reader.  A leaf (slot, position,
+    Each item is (w.images reversed, column, sign).  Returns (steps, leaves,
+    tops), steps and leaves each a tuple of fields with one entry per step
+    or leaf.  Step k reads state parents[k] (state 0, the root, is the
+    factor 1/(z_1 ... z_r), 1 in every column), keeps only its row positions
+    keeps[k] (None when no column drops), takes the residue in variable
+    variables[k] + 1 by its plan's sources[k] for the columns holds[k], and
+    writes state k + 1; lasts[k] marks the parent's last reader.  A step is
+    linear, so its plan's sign moves to the leaves: a leaf (slot, position,
     column, sign) adds sign times entry `position` of the one row of state
     slot, or the entry itself (position None) when the state holds one
-    column, to the column's total.
+    column, to the column's total.  tops[v] bounds variable v + 1's m_0.
     """
     r = len(items[0][0]) if items else 0
-    steps, leaves = [], []
+    steps, leaves, tops = [], [], [0] * r
 
-    def build(keys, active, cols, group, slot):
+    def build(keys, active, cols, group, slot, path_sign):
         # State `slot` holds the columns cols, row position k being column cols[k].
         if not active:  # keys == ((),): every variable is gone
             where = {j: k for k, j in enumerate(cols)} if len(cols) > 1 else {cols[0]: None}
-            leaves.extend((slot, where[j], j, sign) for _, j, sign in group)
+            leaves.extend((slot, where[j], j, path_sign * sign) for _, j, sign in group)
             return
         by_var, depth = {}, r - len(active)
         for item in group:
@@ -181,25 +184,26 @@ def _compile(items: list, width: int) -> tuple:
             if len(held) < len(cols):
                 sub_cols = tuple(sorted(held))
                 keep = tuple(map({j: k for k, j in enumerate(cols)}.get, sub_cols))
-            plan = _plan(keys, active.index(t))
+            sign, top, out_keys, sources = _plan(keys, active.index(t))
+            tops[t - 1] = max(tops[t - 1], top)
             child = len(steps)
-            steps.append([slot, t - 1, plan, keep, sub_cols, False])
-            build(plan[2], [v for v in active if v != t], sub_cols, sub, child + 1)
+            steps.append([slot, t - 1, sources, keep, sub_cols, False])
+            build(out_keys, [v for v in active if v != t], sub_cols, sub, child + 1, path_sign * sign)
         steps[child][-1] = True
 
-    build(((-1,) * r,), list(range(1, r + 1)), tuple(range(width)), items, 0)
+    build(((-1,) * r,), list(range(1, r + 1)), tuple(range(width)), items, 0, 1)
     del build  # a cycle through its own closure, which would hold steps until a GC pass
-    return tuple(zip(*steps)), tuple(zip(*leaves))
+    return tuple(zip(*steps)), tuple(zip(*leaves)), tuple(tops)
 
 
 @lru_cache(maxsize=1024)
-def _program(chamber: bytes) -> tuple:
-    """The one-column program of the special orders of a chamber, compiled once.
-
-    Its plans depend on the elimination prefix alone, so it serves every
-    vector of the chamber, whatever its exponents.
-    """
-    return _compile([(images[::-1], 0, sign) for images, sign in _special_orders(chamber)], 1)
+def _program(chambers: Tuple[bytes, ...]) -> tuple:
+    """The program of the special orders of chambers[j] in column j, compiled
+    once per chamber sequence.  Its plans depend on the elimination prefixes
+    alone, so it serves any vectors of those chambers: a lone vector runs
+    its chamber's 1-tuple, and the samples of a ray share a few programs."""
+    return _compile([(images[::-1], j, sign) for j, chamber in enumerate(chambers)
+                     for images, sign in _special_orders(chamber)], len(chambers))
 
 
 def _run(program: tuple, exponent_columns: Sequence[Sequence[int]]) -> List[int]:
@@ -212,25 +216,33 @@ def _run(program: tuple, exponent_columns: Sequence[Sequence[int]]) -> List[int]
     1/(z_i - z_t) = sum_m z_t^m z_i^{-1-m}, negated when i > t.  A term with
     z_t^{-p} pairs with the z_t^{p-1} coefficient of their product: the sum
     over m_0 + sum m_i = p - 1 of C(e_t, m_0) prod z_i^{-1-m_i}.  Every state
-    exponent is at most -1, so p >= 1 and the work never depends on e_t.  A
-    step's bound plan says which products feed which output, so a step only
+    exponent is at most -1, so p >= 1 and the work never depends on e_t.
+    Each variable's binomials are bound once per run: a list for one column,
+    rows over every column for a batch, whose columns a narrowed step picks.
+    A step's sources say which products feed which output, so a step only
     narrows its parent's rows to the columns it holds, then multiplies and
     adds, in the state's own form, and keeps every output.
     """
-    steps, leaves = program
+    steps, leaves, tops = program
     width = len(exponent_columns)
-    states = [[1] if width == 1 else [[1] * width]]
-    for parent, v, (sign, top, _, sources), keep, cols, last in zip(*steps):
+    if width == 1:
+        binomials = list(map(_binomials, exponent_columns[0], tops))
+        states = [[1]]
+    else:
+        binomials = list(map(_binomial_rows, zip(*exponent_columns), tops))
+        states = [[[1] * width]]
+    for parent, v, sources, keep, cols, last in zip(*steps):
         vals = states[parent]
         if last:
             states[parent] = None
         if keep is not None:  # itemgetter of one position gives the int itself
             vals = list(map(itemgetter(*keep), vals))
+        b = binomials[v]
+        if len(cols) < width:
+            b = list(map(itemgetter(*cols), b))
         if len(cols) == 1:
-            b = _binomials(sign, exponent_columns[cols[0]][v], top)
             states.append([sum([vals[i] * b[m0] for i, m0 in src]) for src in sources])
         else:
-            b = _binomial_rows(sign, [exponent_columns[j][v] for j in cols], top)
             states.append([list(map(sum, zip(*[map(mul, vals[i], b[m0]) for i, m0 in src])))
                            for src in sources])
     totals = [0] * width
@@ -293,7 +305,7 @@ def partition_total(a: Sequence, regularised: Sequence):
     regularised, = scaled_ints(regularised)
     exponents = _sized(_exponents(a), len(regularised) - 1)
     chamber = _order_chamber(regularised)
-    return _run(_program(chamber), [exponents])[0] if min(accumulate(a)) >= 0 else 0
+    return _run(_program((chamber,)), [exponents])[0] if min(accumulate(a)) >= 0 else 0
 
 
 CacheInfo = namedtuple("CacheInfo", "hits misses maxsize currsize")
@@ -319,18 +331,17 @@ class _Memo(OrderedDict):
 _partition_of = _Memo(1 << 15)
 
 
-def partition_counts(vectors: Sequence[Sequence[int]]) -> List[int]:
-    """Partition counts of integral zero-sum vectors, in input order.
+def _counts(keys: Sequence[Tuple[int, ...]]) -> List[int]:
+    """Partition counts of zero-sum int tuples, in input order, unchecked:
+    the arguments the engine builds itself are such tuples already.
 
     Repeats and earlier results come from the memo, and a vector outside the
-    cone counts zero.  The rest are counted by one compiled program per
-    rank, or by its chamber's cached program when it is the only fresh
-    vector of its rank.  Each vector is checked by root_vector, so a bad one
-    raises its ValidationError code, and an in-cone one above the rank limit
-    of subset_sums raises rank-too-large before its chamber key is built.
+    cone counts zero.  The fresh vectors of each rank run the one program of
+    their sequence of chambers, compiled once per sequence.  An in-cone
+    vector above the rank limit of subset_sums raises rank-too-large before
+    its chamber key is built.
     """
     memo = _partition_of
-    keys = [root_vector(a) for a in vectors]
     fresh = {}
     for a in dict.fromkeys(keys):
         if a in memo:
@@ -342,11 +353,7 @@ def partition_counts(vectors: Sequence[Sequence[int]]) -> List[int]:
         if min(accumulate(a)) >= 0:  # in the cone
             by_rank.setdefault(len(a), []).append(a)
     for batch in by_rank.values():
-        if len(batch) == 1:
-            program = _program(_chamber(batch[0]))
-        else:
-            program = _compile([(images[::-1], j, sign) for j, a in enumerate(batch)
-                                for images, sign in _special_orders(_chamber(a))], len(batch))
+        program = _program(tuple(map(_chamber, batch)))
         fresh.update(zip(batch, _run(program, [_exponents(a) for a in batch])))
     memo.misses += len(fresh)
     memo.hits += len(keys) - len(fresh)
@@ -355,6 +362,12 @@ def partition_counts(vectors: Sequence[Sequence[int]]) -> List[int]:
     while len(memo) > memo.maxsize:
         memo.popitem(last=False)
     return out
+
+
+def partition_counts(vectors: Sequence[Sequence[int]]) -> List[int]:
+    """Partition counts of integral zero-sum vectors, in input order, each
+    checked by root_vector first, so a bad one raises its code."""
+    return _counts([root_vector(a) for a in vectors])
 
 
 def kostant_partition(a: Sequence) -> int:

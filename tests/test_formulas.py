@@ -282,14 +282,14 @@ class TestTermLimit:
             raise AssertionError("a sum past the term limit was counted")
 
         monkeypatch.setattr(kostant.formulas, "TERM_LIMIT", terms - 1)
-        monkeypatch.setattr(kostant.formulas, "partition_counts", refused)
+        monkeypatch.setattr(kostant.formulas, "_counts", refused)
         with pytest.raises(BudgetExceeded) as err:
             call(*weights)
         assert err.value.code == "budget-exceeded"
 
     def test_theta_seven_is_inside_the_limit(self, monkeypatch, term_counts):
         # Its terms are built but not walked: the walk takes seconds.
-        monkeypatch.setattr(kostant.formulas, "partition_counts", lambda args: [0] * len(args))
+        monkeypatch.setattr(kostant.formulas, "_counts", lambda args: [0] * len(args))
         assert multiplicity(theta(7), (0,) * 8) == 0
         assert term_counts == [2466] and 2466 <= TERM_LIMIT
 

@@ -9,9 +9,10 @@ from functools import lru_cache
 import pytest
 from hypothesis import assume, example, given, settings, strategies as st
 
-from kostant import residues
+from kostant import permsearch, residues
 from kostant.arbitration import descent_sign
-from kostant.formulas import multiplicity, tensor_product
+from kostant.formulas import multiplicity, multiplicity_polynomial, tensor_product
+from kostant.permsearch import BudgetExceeded
 from kostant.permutations import Permutation
 from kostant.reference import kostant_partition_bruteforce
 from kostant.residues import (
@@ -36,13 +37,13 @@ from kostant.vectors import DominantWeight, ValidationError, deform, in_positive
 
 
 def _steps(program):
-    """A program's steps as (parent, variable, plan, keep, holds, last) tuples."""
+    """A program's steps as (parent, variable, sources, keep, holds, last) tuples."""
     return list(zip(*program[0]))
 
 
 def binomial(e, m):
     """C(e, m) as the engine's recurrence gives it: entry m of `_binomials`."""
-    return _binomials(1, e, m + 1)[m]
+    return _binomials(e, m + 1)[m]
 
 
 def exact_binomial(e, m):
@@ -65,8 +66,7 @@ class TestBinomial:
     def test_large_exponent_stays_cheap(self):
         assert binomial(10**9, 2) == 10**9 * (10**9 - 1) // 2
         assert binomial(-10**9, 2) == math.comb(10**9 + 1, 2)
-        for sign in (1, -1):
-            assert _binomials(sign, -10**9, 12) == [sign * exact_binomial(-10**9, m) for m in range(12)]
+        assert _binomials(-10**9, 12) == [exact_binomial(-10**9, m) for m in range(12)]
 
     def test_matches_expansion_product(self):
         # (1+z)^e * (1+z)^(-e) = 1, checked through degree 6
@@ -225,7 +225,7 @@ class TestPartitionTotal:
         assert partition_total((-3, -3, 6), (-3, -3, 6)) == 0
         outside = [a for r in (1, 2, 3) for a in _zero_sum_box(r, 3) if not in_positive_cone(a)]
         assert len(outside) == 243
-        raw = [_run(_program(_chamber(a)), [_exponents(a)])[0] for a in outside]
+        raw = [_run(_program((_chamber(a),)), [_exponents(a)])[0] for a in outside]
         assert sum(1 for v in raw if v) == 70
         for a in outside:
             assert partition_total(a, a) == 0 == kostant_partition(a), a
@@ -403,8 +403,9 @@ class TestPartitionCounts:
         assert taken == [steps]
 
     def test_mixed_call_runs_a_cached_program_and_a_compiled_batch(self, monkeypatch):
-        # Rank 3 has one fresh vector, so it runs its chamber's cached
-        # program; rank 4 has three, compiled together into one program.
+        # Rank 3 has one fresh vector, so it runs the program of its
+        # chamber's 1-tuple; rank 4 has three, compiled together into the
+        # program of their chamber sequence.  Both programs are cached.
         lone, batch = (2, 1, -1, -2), [(3, -1, 0, -2, 0), (1, 1, -1, 0, -1), (2, 0, -1, -1, 0)]
         vectors = [batch[0], lone, batch[1], batch[0], batch[2], lone]
         expected = []
@@ -424,7 +425,7 @@ class TestPartitionCounts:
         assert partition_counts(vectors) == expected
         assert expected[1] == 13
         assert sorted(widths) == [1, 3]
-        assert _program.cache_info().misses == 1
+        assert _program.cache_info().misses == 2
         info = _partition_of.cache_info()
         assert (info.hits, info.misses, info.currsize) == (2, 4, 4)
         assert partition_counts(vectors) == expected
@@ -464,12 +465,11 @@ class TestCompiledStep:
     def test_recurrence_rows_are_exact_binomials(self):
         # Covers the zero band 0 <= e < m, where C(e, m) = 0 for every later m.
         exponents = list(range(-30, 31)) + [10**9, -10**9]
-        for sign in (1, -1):
-            rows = _binomial_rows(sign, exponents, 12)
-            assert len(rows) == 12
-            for m, row in enumerate(rows):
-                assert row == [sign * exact_binomial(e, m) for e in exponents], (sign, m)
-                assert [_binomials(sign, e, 12)[m] for e in exponents] == row
+        rows = _binomial_rows(exponents, 12)
+        assert len(rows) == 12
+        for m, row in enumerate(rows):
+            assert row == [exact_binomial(e, m) for e in exponents], m
+            assert [_binomials(e, 12)[m] for e in exponents] == row
 
     def test_one_column_step_is_a_column_of_the_rows_step(self):
         # Every order of rank 3 in each of three columns: no column ever drops,
@@ -568,6 +568,7 @@ class TestCompiledStep:
         tiny = lru_cache(maxsize=8)(_plan.__wrapped__)
         monkeypatch.setattr(residues, "_plan", tiny)
         _partition_of.cache_clear()
+        _program.cache_clear()  # else the programs of the first pass serve the second
         assert partition_counts(stream) == expected
         assert tiny.cache_info().currsize <= 8
         assert tiny.cache_info().misses > 100
@@ -667,7 +668,7 @@ class TestChamberProgram:
                  for images, sign in _special_orders(_chamber(a))]
         union = _run(_compile(items, len(batch)), [_exponents(a) for a in batch])
         for a, total in zip(batch, union):
-            assert _run(_program(_chamber(a)), [_exponents(a)]) == [total], a
+            assert _run(_program((_chamber(a),)), [_exponents(a)]) == [total], a
             # The count: a lone fresh vector runs its program (zero outside the cone).
             _partition_of.cache_clear()
             alone = partition_counts([a])[0]
@@ -715,6 +716,108 @@ class TestChamberProgram:
         assert tiny.cache_info().misses > 50
         small = [(a, v) for a, v in zip(stream, expected) if len(a) <= 6]
         assert all(kostant_partition_bruteforce(a) == v for a, v in small)
+
+
+class TestBoundOnce:
+    """A program is compiled once per chamber sequence, and a run binds each
+    variable's binomials once, whatever the number of its steps."""
+
+    @pytest.mark.parametrize("r, programs", [(3, 2), (4, 3), (5, 4)])
+    def test_a_ray_compiles_once_per_chamber_sequence(self, monkeypatch, r, programs):
+        # The d + 3 samples of a theta ray (6, 9 and 13) fall into this many
+        # chamber sequences.
+        widths = []
+        compile_ = residues._compile
+
+        def spied(items, width):
+            widths.append(width)
+            return compile_(items, width)
+
+        monkeypatch.setattr(residues, "_compile", spied)
+        _partition_of.cache_clear()
+        _program.cache_clear()
+        _plan.cache_clear()
+        poly = multiplicity_polynomial(theta(r), (0,) * (r + 1))
+        assert len(poly.sample_points) + len(poly.verified_points) == r * (r - 1) // 2 + 3
+        assert len(widths) == _program.cache_info().misses == programs
+
+        def refused(*args):
+            raise AssertionError("a repeated ray compiled a program or looked up a plan")
+
+        monkeypatch.setattr(residues, "_compile", refused)
+        monkeypatch.setattr(residues, "_plan", refused)
+        _partition_of.cache_clear()
+        assert multiplicity_polynomial(theta(r), (0,) * (r + 1)) == poly
+
+    def test_one_column_binds_each_variable_once(self, monkeypatch):
+        a = (2, 1, 1, -1, -1, -2)
+        program = _program((_chamber(a),))
+        calls = []
+        binomials = residues._binomials
+
+        def spied(e, top):
+            calls.append(e)
+            return binomials(e, top)
+
+        monkeypatch.setattr(residues, "_binomials", spied)
+        monkeypatch.setattr(residues, "_binomial_rows", None)
+        assert _run(program, [_exponents(a)]) == [kostant_partition_bruteforce(a)] == [610]
+        assert len(_steps(program)) == 44
+        assert sorted(calls) == sorted(_exponents(a))  # one call per variable, 5 in all
+
+    def test_rows_bind_each_variable_once(self, monkeypatch):
+        batch = [(2, 1, 1, -1, -1, -2), (3, 1, -1, 2, -2, -3), (1, 2, -1, 1, -2, -1)]
+        program = _program(tuple(map(_chamber, batch)))
+        calls = []
+        binomial_rows = residues._binomial_rows
+
+        def spied(e_t, top):
+            calls.append(tuple(e_t))
+            return binomial_rows(e_t, top)
+
+        monkeypatch.setattr(residues, "_binomial_rows", spied)
+        monkeypatch.setattr(residues, "_binomials", None)
+        columns = [_exponents(a) for a in batch]
+        assert _run(program, columns) == [kostant_partition_bruteforce(a) for a in batch] == [610, 1291, 80]
+        steps = _steps(program)
+        assert len(steps) > 5 and any(len(holds) < 3 for _, _, _, _, holds, _ in steps)
+        assert calls == list(zip(*columns))  # one row set per variable, 5 in all
+
+
+class TestOrderBudget:
+    """The special-order search refuses a frontier of more than
+    permsearch.FRONTIER_LIMIT prefixes; the limit is lowered here, never
+    reached."""
+
+    def test_lowered_limit_is_budget_exceeded_and_not_cached(self, monkeypatch):
+        a = (1, 2, -1, 1, -2, -1)
+        sizes = []
+        with monkeypatch.context() as m:
+            m.setattr(residues, "_bounded", lambda frontier: sizes.append(len(frontier)) or frontier)
+            _special_orders.cache_clear()
+            assert len(_special_orders(_chamber(a))) == 18
+        peak = max(sizes)
+        assert len(sizes) == 4 and peak > 18
+        _special_orders.cache_clear()
+        _program.cache_clear()
+        with monkeypatch.context() as m:
+            m.setattr(permsearch, "FRONTIER_LIMIT", peak - 1)
+            for call in (kostant_partition, special_permutations, lambda a: partition_total(a, a)):
+                _partition_of.cache_clear()
+                with pytest.raises(BudgetExceeded) as err:
+                    call(a)
+                assert err.value.code == "budget-exceeded"
+            assert _special_orders.cache_info().currsize == 0
+        # The refusal was not cached: with the limit restored, the chamber answers.
+        _partition_of.cache_clear()
+        assert partition_counts([a]) == [kostant_partition_bruteforce(a)] == [80]
+        assert len(special_permutations(a)) == 18
+        # At the limit the search still runs.
+        _special_orders.cache_clear()
+        _program.cache_clear()
+        _partition_of.cache_clear()
+        monkeypatch.setattr(permsearch, "FRONTIER_LIMIT", peak)
+        assert kostant_partition(a) == 80
 
 
 class TestRankLimit:
