@@ -18,7 +18,6 @@ from .permsearch import BudgetExceeded, valid_couples, valid_permutations
 from .permutations import Permutation
 from .residues import (
     iterated_residue,
-    iterated_residue_by_substitution,
     kostant_partition,
     partition_counts,
     partition_total,
@@ -53,7 +52,6 @@ __all__ = [
     "in_positive_cone",
     "is_regular",
     "iterated_residue",
-    "iterated_residue_by_substitution",
     "kostant_partition",
     "multiplicity",
     "multiplicity_polynomial",

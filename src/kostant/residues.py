@@ -17,14 +17,14 @@ inversion parity, on exhaustive boxes.
 Residues are extracted one variable at a time, z_{w(r)} first, and each
 step needs only the coefficients below the pole order of the active
 variable, so the cost never depends on the sizes of the entries of a.  A
-step is a plan, cached per process and keyed by the elimination prefix
-alone, of which exponent tuples arise and from which (entry, m_0) pairs,
-and an apply that does only integer multiply-adds.  Orders that share a
-prefix share their steps, so one walker runs a compiled program: the union
-prefix tree of a set of orders over one or more exponent columns, flattened
-depth first.  The fresh vectors of one rank run the program of their
-chamber sequence, compiled once per sequence, and a run binds each
-variable's binomials once.
+step is a plan of which exponent tuples arise and from which (entry, m_0)
+pairs, cached per process and named by the rank, the depth and the position
+of the eliminated variable among the active ones, and an apply that does
+only integer multiply-adds.  Orders that share a prefix share their steps,
+so one walker runs a compiled program: the union prefix tree of a set of
+orders over one or more exponent columns, flattened depth first.  The fresh
+vectors of one rank run the program of their chamber sequence, compiled
+once per sequence, and a run binds each variable's binomials once.
 """
 
 from __future__ import annotations
@@ -40,8 +40,7 @@ from .permutations import Permutation
 from .vectors import ValidationError, int_entries, root_vector, scaled_ints, subset_sums
 
 
-# One object per distinct tuple held by any plan or chamber entry: orders,
-# (i, m_0) pairs, exponent tuples and source lists recur across entries, and
+# One object per distinct special order: orders recur across chambers, and
 # the rank bounds their number.
 _SHARED: dict = {}
 
@@ -113,25 +112,30 @@ def _shifts(total: int, others: int) -> Tuple[Tuple[int, Tuple[int, ...]], ...]:
                  for m0, rest in _shifts(total - m, others - 1))
 
 
-@lru_cache(maxsize=4096)
-def _plan(keys: Tuple[Tuple[int, ...], ...], tpos: int):
-    """The shape of one residue step: which exponent tuples come out, and from what.
+@lru_cache(maxsize=None)  # r(r + 1)/2 plans per rank
+def _plan(r: int, depth: int, tpos: int):
+    """The shape of a rank-r residue step that, after `depth` residues, takes
+    the one in the active variable at position `tpos`: which exponent tuples
+    come out, and from what.
 
     Returns (sign, top, out_keys, sources): sources[k] lists the (i, m_0)
     whose products rows[i] * sign * C(e_t, m_0) add up to the coefficients of
     out_keys[k], and every m_0 is below top.  The sign is -1 when an odd
     number of the active variables lie above the eliminated one.  Nothing
-    here depends on the exponents e_t, so one plan serves every query whose
-    walk reaches the same state shape, that is the same elimination prefix.
+    here depends on the exponents e_t.  The root (-1, ..., -1) is symmetric
+    in the variables and so is a step, so every elimination prefix of a depth
+    gives one key set; sorted, it is the row layout of every state at that
+    depth, and a step at `depth` reads the out_keys of _plan(r, depth - 1, 0).
     """
-    others, share, sources = len(keys[0]) - 1, _SHARED.setdefault, {}
+    keys = _plan(r, depth - 1, 0)[2] if depth else ((-1,) * r,)
+    others, sources = r - depth - 1, {}
     for i, exps in enumerate(keys):
         base = exps[:tpos] + exps[tpos + 1:]
         for m0, shift in _shifts(-exps[tpos] - 1, others):
-            e = tuple(map(add, base, shift))
-            sources.setdefault(share(e, e), []).append(share((i, m0), (i, m0)))
-    return (-1 if (others - tpos) % 2 else 1, -min(exps[tpos] for exps in keys), tuple(sources),
-            tuple(share(src, src) for src in map(tuple, sources.values())))
+            sources.setdefault(tuple(map(add, base, shift)), []).append((i, m0))
+    out_keys = tuple(sorted(sources))
+    return (-1 if (others - tpos) % 2 else 1, -min(exps[tpos] for exps in keys), out_keys,
+            tuple(tuple(sources[e]) for e in out_keys))
 
 
 def _binomials(e: int, top: int) -> List[int]:
@@ -164,14 +168,16 @@ def _compile(items: list, width: int) -> tuple:
     linear, so its plan's sign moves to the leaves: a leaf (slot, position,
     column, sign) adds sign times entry `position` of the one row of state
     slot, or the entry itself (position None) when the state holds one
-    column, to the column's total.  tops[v] bounds variable v + 1's m_0.
+    column, to the column's total.  tops[v] bounds variable v + 1's m_0.  A
+    step's plan is _plan(r, depth, position of its variable among the
+    active ones), so no exponent tuple is passed down the tree.
     """
     r = len(items[0][0]) if items else 0
     steps, leaves, tops = [], [], [0] * r
 
-    def build(keys, active, cols, group, slot, path_sign):
+    def build(active, cols, group, slot, path_sign):
         # State `slot` holds the columns cols, row position k being column cols[k].
-        if not active:  # keys == ((),): every variable is gone
+        if not active:  # every variable is gone: the state holds one key, ()
             where = {j: k for k, j in enumerate(cols)} if len(cols) > 1 else {cols[0]: None}
             leaves.extend((slot, where[j], j, path_sign * sign) for _, j, sign in group)
             return
@@ -184,14 +190,14 @@ def _compile(items: list, width: int) -> tuple:
             if len(held) < len(cols):
                 sub_cols = tuple(sorted(held))
                 keep = tuple(map({j: k for k, j in enumerate(cols)}.get, sub_cols))
-            sign, top, out_keys, sources = _plan(keys, active.index(t))
+            sign, top, _, sources = _plan(r, depth, active.index(t))
             tops[t - 1] = max(tops[t - 1], top)
             child = len(steps)
             steps.append([slot, t - 1, sources, keep, sub_cols, False])
-            build(out_keys, [v for v in active if v != t], sub_cols, sub, child + 1, path_sign * sign)
+            build([v for v in active if v != t], sub_cols, sub, child + 1, path_sign * sign)
         steps[child][-1] = True
 
-    build(((-1,) * r,), list(range(1, r + 1)), tuple(range(width)), items, 0, 1)
+    build(list(range(1, r + 1)), tuple(range(width)), items, 0, 1)
     del build  # a cycle through its own closure, which would hold steps until a GC pass
     return tuple(zip(*steps)), tuple(zip(*leaves)), tuple(tops)
 
@@ -199,9 +205,10 @@ def _compile(items: list, width: int) -> tuple:
 @lru_cache(maxsize=1024)
 def _program(chambers: Tuple[bytes, ...]) -> tuple:
     """The program of the special orders of chambers[j] in column j, compiled
-    once per chamber sequence.  Its plans depend on the elimination prefixes
-    alone, so it serves any vectors of those chambers: a lone vector runs
-    its chamber's 1-tuple, and the samples of a ray share a few programs."""
+    once per chamber sequence.  Its plans depend on the rank and the order
+    prefixes alone, so it serves any vectors of those chambers: a lone
+    vector runs its chamber's 1-tuple, and the samples of a ray share a few
+    programs."""
     return _compile([(images[::-1], j, sign) for j, chamber in enumerate(chambers)
                      for images, sign in _special_orders(chamber)], len(chambers))
 
@@ -267,18 +274,6 @@ def iterated_residue(w: Permutation, exponents: Sequence[int]):
     integrand; the denominator z_1...z_r prod_{i<j}(z_i - z_j) is implicit.
     """
     return _run(_compile([(w.images[::-1], 0, 1)], 1), [_sized(exponents, len(w))])[0]
-
-
-def iterated_residue_by_substitution(w: Permutation, exponents: Sequence[int]):
-    """IRes^w computed by relabelling variables instead of reordering residues.
-
-    Substituting z_{w^{-1}(k)} for the k-th variable turns the standard
-    integrand into the one with exponents permuted by w, at the cost of
-    sign(w) from reordering the difference factors; the residues are then
-    taken in the standard order.  Must agree with `iterated_residue`.
-    """
-    permuted = w.apply(_sized(exponents, len(w)))
-    return w.signature * _run(_compile([(tuple(range(len(w), 0, -1)), 0, 1)], 1), [permuted])[0]
 
 
 def _exponents(a: Tuple[int, ...]) -> List[int]:

@@ -27,7 +27,6 @@ from kostant.residues import (
     _run,
     _special_orders,
     iterated_residue,
-    iterated_residue_by_substitution,
     kostant_partition,
     partition_counts,
     partition_total,
@@ -140,6 +139,18 @@ class TestSpecialPermutations:
         with pytest.raises(ValidationError) as err:
             special_permutations((5, 1, 2))
         assert err.value.code == "not-zero-sum"
+
+
+def iterated_residue_by_substitution(w, exponents):
+    """IRes^w computed by relabelling variables instead of reordering residues.
+
+    Substituting z_{w^{-1}(k)} for the k-th variable turns the standard
+    integrand into the one with exponents permuted by w, at the cost of
+    sign(w) from reordering the difference factors; the residues are then
+    taken in the standard order.  Must agree with `iterated_residue`.
+    """
+    permuted = w.apply(residues._sized(exponents, len(w)))
+    return w.signature * iterated_residue(Permutation.identity(len(w)), permuted)
 
 
 class TestIteratedResidue:
@@ -461,6 +472,25 @@ def _cone_vectors(draw):
     return tuple(a) + (-prefix,)
 
 
+def _expanded(keys, tpos):
+    """The key set one residue step makes from `keys` by eliminating position
+    tpos, and its number of products: a key e with pole order p = -e[tpos]
+    gives one product per m_0 + m_1 + ... = p - 1, each other entry of e
+    lowered by 1 + m_i."""
+    out, products = set(), 0
+    for exps in keys:
+        base, total = exps[:tpos] + exps[tpos + 1:], -exps[tpos] - 1
+        for ms in itertools.product(range(total + 1), repeat=len(base)):
+            if sum(ms) <= total:
+                out.add(tuple(e - 1 - m for e, m in zip(base, ms)))
+                products += 1
+    return frozenset(out), products
+
+
+class _Compiled(Exception):
+    """Raised by a spy in place of a program's walk."""
+
+
 class TestCompiledStep:
     def test_recurrence_rows_are_exact_binomials(self):
         # Covers the zero band 0 <= e < m, where C(e, m) = 0 for every later m.
@@ -549,16 +579,62 @@ class TestCompiledStep:
                         for a, v in zip(batch, cold)]
 
     def test_plan_cache_stays_bounded(self):
+        # One plan per (rank, depth, position): r(r + 1)/2 per rank, 56 for ranks 1-6.
         stream = list(_cheap_stream(5, 600))
         assert {len(a) - 1 for a in stream} == {1, 2, 3, 4, 5, 6}
         _plan.cache_clear()
         _program.cache_clear()
         _partition_of.cache_clear()
-        maxsize = _plan.cache_info().maxsize
-        assert maxsize is not None
         for a in stream:
             partition_counts([a])
-            assert _plan.cache_info().currsize <= maxsize
+        assert 0 < _plan.cache_info().currsize <= 56
+
+    @pytest.mark.parametrize("r", [2, 3, 4, 5, 6])
+    def test_every_prefix_of_a_depth_reaches_its_plans_keys(self, r):
+        # Expand the key sets of every elimination prefix from the root, by
+        # content, and count the products (i, m_0) of each step.  The prefixes
+        # of a depth reach no key set outside `reached`, so one set there means
+        # one set for them all.
+        reached = {frozenset([(-1,) * r])}
+        for depth in range(r):
+            assert len(reached) == 1, depth
+            keys = sorted(next(iter(reached)))
+            expanded = [_expanded(keys, tpos) for tpos in range(r - depth)]
+            for tpos, (out, products) in enumerate(expanded):
+                _, _, out_keys, sources = _plan(r, depth, tpos)
+                assert out_keys == tuple(sorted(out)), (depth, tpos)
+                assert sum(map(len, sources)) == products, (depth, tpos)
+            reached = {out for out, _ in expanded}
+        assert reached == {frozenset([()])}
+
+    def test_products_per_step_depend_on_rank_and_depth(self):
+        # P(r, d), the products of a step at depth d, is the same at every
+        # position, so the work of a program is known from its tree's shape.
+        table = {r: [{sum(map(len, _plan(r, d, tpos)[3])) for tpos in range(r - d)} for d in range(r)]
+                 for r in range(2, 8)}
+        assert all(len(products) == 1 for row in table.values() for products in row)
+        assert [products.pop() for products in table[7]] == [1, 6, 110, 1058, 2142, 616, 16]
+
+    @pytest.mark.parametrize("r, multiply_adds", [(5, 9006), (6, 383574), (7, 20329854)])
+    def test_theta_multiply_adds(self, monkeypatch, r, multiply_adds):
+        # The products of a step times the columns it holds, summed over the
+        # program of theta(r)'s cold sum; the spy stops before the walk, which
+        # takes about 2 s for theta(7).
+        programs = []
+
+        def spied(program, exponent_columns):
+            programs.append(program)
+            raise _Compiled
+
+        monkeypatch.setattr(residues, "_run", spied)
+        _partition_of.cache_clear()
+        _program.cache_clear()
+        with pytest.raises(_Compiled):
+            multiplicity(theta(r), (0,) * (r + 1))
+        _program.cache_clear()
+        (program,) = programs
+        assert sum(sum(map(len, sources)) * len(holds)
+                   for _, _, sources, _, holds, _ in _steps(program)) == multiply_adds
 
     def test_eviction_keeps_values(self, monkeypatch):
         # A cache of 8 plans evicts on almost every step of a rank-5 or 6 walk.
