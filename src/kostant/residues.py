@@ -20,11 +20,13 @@ variable, so the cost never depends on the sizes of the entries of a.  A
 step is a plan of which exponent tuples arise and from which (entry, m_0)
 pairs, cached per process and named by the rank, the depth and the position
 of the eliminated variable among the active ones, and an apply that does
-only integer multiply-adds.  Orders that share a prefix share their steps,
-so one walker runs a compiled program: the union prefix tree of a set of
-orders over one or more exponent columns, flattened depth first.  The fresh
-vectors of one rank run the program of their chamber sequence, compiled
-once per sequence, and a run binds each variable's binomials once.
+only integer multiply-adds.  Orders whose elimination sequences w(r),
+w(r-1), ... share a prefix share their steps, so one walker runs a compiled
+program: the union prefix tree of a set of orders over one or more exponent
+columns, flattened depth first.  The fresh vectors of one rank run the
+program of their chamber sequence, compiled once per sequence from one
+order search per distinct chamber, and a run binds each variable's
+binomials once.
 """
 
 from __future__ import annotations
@@ -40,19 +42,13 @@ from .permutations import Permutation
 from .vectors import ValidationError, int_entries, root_vector, scaled_ints, subset_sums
 
 
-# One object per distinct special order: orders recur across chambers, and
-# the rank bounds their number.
-_SHARED: dict = {}
-
-
 def _chamber(a: Sequence[int]) -> bytes:
     """Byte m is 1 when subset sum m of a is >= 0: the chamber of a in the
     arrangement of walls a_S = 0, and all that order selection reads."""
     return bytes([s >= 0 for s in subset_sums(a)])
 
 
-@lru_cache(maxsize=4096)
-def _special_orders(chamber: bytes) -> Tuple[Tuple[Tuple[int, ...], int], ...]:
+def _special_orders(chamber: bytes) -> List[Tuple[Tuple[int, ...], int]]:
     """(images, sign) of each special order w of the vectors in a chamber.
 
     A permutation w of {1, ..., r} qualifies when, for each i < r, the sign
@@ -62,8 +58,9 @@ def _special_orders(chamber: bytes) -> Tuple[Tuple[Tuple[int, ...], int], ...]:
     is a descent exactly when that byte is 0.  Each prefix carries the parity
     of its descents, so the sign of a term, (-1)^(descents of w), costs
     nothing.  Built by prefix extension with pruning; the full factorial set
-    is never materialised.  Cached per process: every vector of a chamber
-    shares it.
+    is never materialised.  Not cached: _program searches each distinct
+    chamber of its sequence once, and every column of that chamber reads
+    the one result.
 
     For integral a these are also the orders of deform(a), regular or not:
     the deformation adds i/(2r) to a partial sum of i < r entries, which
@@ -83,8 +80,7 @@ def _special_orders(chamber: bytes) -> Tuple[Tuple[Tuple[int, ...], int], ...]:
                 if not (mask >> j) & 1:
                     extended.append((prefix + (j,), mask | (1 << j), sign))
         frontier = _bounded(extended)
-    orders = ((prefix, sign) for prefix, _, sign in frontier)
-    return tuple(_SHARED.setdefault(order, order) for order in orders)
+    return [(prefix, sign) for prefix, _, sign in frontier]
 
 
 def _order_chamber(a: Tuple[int, ...]) -> bytes:
@@ -154,11 +150,12 @@ def _binomial_rows(e_t: Sequence[int], top: int) -> List[List[int]]:
     return rows
 
 
-def _compile(items: list, width: int) -> tuple:
-    """The walk of the union prefix tree of weighted orders over `width`
-    exponent columns, flattened depth first; it never reads the exponents.
+def _compile(columns: Sequence[Sequence[Tuple[Tuple[int, ...], int]]]) -> tuple:
+    """The walk of the union prefix tree of weighted orders over exponent
+    columns, flattened depth first; it never reads the exponents.
 
-    Each item is (w.images reversed, column, sign).  Returns (steps, leaves,
+    columns[j] lists the (w.images, sign) of column j's orders, as
+    _special_orders gives them, and may be empty.  Returns (steps, leaves,
     tops), steps and leaves each a tuple of fields with one entry per step
     or leaf.  Step k reads state parents[k] (state 0, the root, is the
     factor 1/(z_1 ... z_r), 1 in every column), keeps only its row positions
@@ -170,8 +167,10 @@ def _compile(items: list, width: int) -> tuple:
     slot, or the entry itself (position None) when the state holds one
     column, to the column's total.  tops[v] bounds variable v + 1's m_0.  A
     step's plan is _plan(r, depth, position of its variable among the
-    active ones), so no exponent tuple is passed down the tree.
+    active ones), so no exponent tuple is passed down the tree.  The step at
+    depth d eliminates images[~d]: z_{w(r)} first.
     """
+    items = [(images, j, sign) for j, orders in enumerate(columns) for images, sign in orders]
     r = len(items[0][0]) if items else 0
     steps, leaves, tops = [], [], [0] * r
 
@@ -183,7 +182,7 @@ def _compile(items: list, width: int) -> tuple:
             return
         by_var, depth = {}, r - len(active)
         for item in group:
-            by_var.setdefault(item[0][depth], []).append(item)
+            by_var.setdefault(item[0][~depth], []).append(item)
         for t, sub in sorted(by_var.items()):
             held = {j for _, j, _ in sub} if len(cols) > 1 else cols
             sub_cols, keep = cols, None
@@ -197,7 +196,7 @@ def _compile(items: list, width: int) -> tuple:
             build([v for v in active if v != t], sub_cols, sub, child + 1, path_sign * sign)
         steps[child][-1] = True
 
-    build(list(range(1, r + 1)), tuple(range(width)), items, 0, 1)
+    build(list(range(1, r + 1)), tuple(range(len(columns))), items, 0, 1)
     del build  # a cycle through its own closure, which would hold steps until a GC pass
     return tuple(zip(*steps)), tuple(zip(*leaves)), tuple(tops)
 
@@ -205,12 +204,12 @@ def _compile(items: list, width: int) -> tuple:
 @lru_cache(maxsize=1024)
 def _program(chambers: Tuple[bytes, ...]) -> tuple:
     """The program of the special orders of chambers[j] in column j, compiled
-    once per chamber sequence.  Its plans depend on the rank and the order
-    prefixes alone, so it serves any vectors of those chambers: a lone
-    vector runs its chamber's 1-tuple, and the samples of a ray share a few
-    programs."""
-    return _compile([(images[::-1], j, sign) for j, chamber in enumerate(chambers)
-                     for images, sign in _special_orders(chamber)], len(chambers))
+    once per chamber sequence, which searches each of its distinct chambers
+    once.  Its plans depend on the rank and the order prefixes alone, so it
+    serves any vectors of those chambers: a lone vector runs its chamber's
+    1-tuple, and the samples of a ray share a few programs."""
+    orders = {chamber: _special_orders(chamber) for chamber in dict.fromkeys(chambers)}
+    return _compile([orders[chamber] for chamber in chambers])
 
 
 def _run(program: tuple, exponent_columns: Sequence[Sequence[int]]) -> List[int]:
@@ -273,7 +272,7 @@ def iterated_residue(w: Permutation, exponents: Sequence[int]):
     `exponents` are the numerator exponents (e_1, ..., e_r) of the standard
     integrand; the denominator z_1...z_r prod_{i<j}(z_i - z_j) is implicit.
     """
-    return _run(_compile([(w.images[::-1], 0, 1)], 1), [_sized(exponents, len(w))])[0]
+    return _run(_compile([[(w.images, 1)]]), [_sized(exponents, len(w))])[0]
 
 
 def _exponents(a: Tuple[int, ...]) -> List[int]:

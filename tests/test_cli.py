@@ -302,6 +302,27 @@ class TestBatch:
         assert [row["value"] for row in rows] == ["1,7/4,9/8,3/8;step=2", "1;step=3", "1,1"]
         assert code == EXIT_OK
 
+    def test_ray_that_fits_no_polynomial_prints_its_values(self, capsys, monkeypatch):
+        # The query looks multiplicity_polynomial up in the cli module on each call.
+        import io
+
+        from kostant.formulas import RayFitFailure
+
+        failure = RayFitFailure("ray crosses chamber structure inconsistently", (1, 2, 3, 4), (1, 4, -10, 7))
+        monkeypatch.setattr("kostant.cli.multiplicity_polynomial", lambda *w: failure)
+        printed = "fit-failed[ray crosses chamber structure inconsistently]:1,4,-10,7"
+        code, out, _ = run_cli(capsys, "poly-mult", "--rank", "2", "--lambda", "1,0,-1", "--mu", "0,0,0")
+        assert (code, out.strip()) == (EXIT_OK, printed)
+        lines = "\n".join(json.dumps(r) for r in [
+            {"command": "poly-mult", "rank": 2, "lambda": "1,0,-1", "mu": "0,0,0"},
+            {"command": "kostant", "rank": 2, "vector": "1,0,-1"},
+        ])
+        monkeypatch.setattr("sys.stdin", io.StringIO(lines))
+        code, out, _ = run_cli(capsys, "batch")
+        rows = [json.loads(line) for line in out.strip().splitlines()]
+        assert [row["value"] for row in rows] == [printed, "2"]
+        assert code == EXIT_OK
+
     @pytest.mark.parametrize("bad, code", [
         (json.dumps([1]), "bad-record"),
         (json.dumps({"command": "mult", "rank": 2}), "missing-field"),
@@ -316,8 +337,10 @@ class TestBatch:
                      "oracle": True}), "bad-oracle"),
         (json.dumps({"command": "poly-tensor", "rank": 1, "lambda": "1,0", "mu": "1,0",
                      "nu": "2,0", "oracle": True}), "bad-oracle"),
+        (json.dumps({"command": "convert", "rank": 2, "vector": "1,0,-1", "to": "weyl"}), "bad-basis"),
     ], ids=["not-object", "missing-key", "bool-rank", "list-command", "deep-nesting",
-            "string-oracle", "convert-oracle", "poly-mult-oracle", "poly-tensor-oracle"])
+            "string-oracle", "convert-oracle", "poly-mult-oracle", "poly-tensor-oracle",
+            "convert-unknown-target"])
     def test_bad_record_does_not_end_stream(self, capsys, monkeypatch, bad, code):
         import io
 
@@ -325,7 +348,7 @@ class TestBatch:
         monkeypatch.setattr("sys.stdin", io.StringIO(bad + "\n" + good))
         exit_code, out, _ = run_cli(capsys, "batch")
         rows = [json.loads(line) for line in out.strip().splitlines()]
-        assert rows[0]["error"] == code
+        assert (rows[0]["error"], rows[0]["line"]) == (code, 1)
         assert rows[1]["value"] == "2"
         assert exit_code == EXIT_INVALID
 

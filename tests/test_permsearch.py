@@ -37,6 +37,12 @@ class TestValidPermutations:
             valid_permutations((1, 0), (2, 0))
         assert err.value.code == "unequal-sums"
 
+    @pytest.mark.parametrize("u, v", [((1, -1), (1, 0, -1)), ((2, 0, -2), (0, 0))])
+    def test_mismatched_lengths_are_bad_length(self, u, v):
+        with pytest.raises(ValidationError) as err:
+            valid_permutations(u, v)
+        assert err.value.code == "bad-length"
+
     def test_rank_one(self):
         u = (Fraction(3, 2), Fraction(-3, 2))
         v = (Fraction(1, 2), Fraction(-1, 2))
@@ -115,6 +121,16 @@ class TestValidCouples:
         with pytest.raises(ValidationError) as err:
             valid_couples((1, -1), (1, -1), (1, 0))
         assert err.value.code == "unequal-sums"
+
+    @pytest.mark.parametrize("u1, u2, v", [
+        ((1, 0, -1), (1, -1), (2, -2)),
+        ((1, -1), (1, 0, -1), (2, -2)),
+        ((1, -1), (1, -1), (2, 0, -2)),
+    ], ids=["u1", "u2", "v"])
+    def test_mismatched_lengths_are_bad_length(self, u1, u2, v):
+        with pytest.raises(ValidationError) as err:
+            valid_couples(u1, u2, v)
+        assert err.value.code == "bad-length"
 
     def test_rank_one_single_couple(self):
         u1 = (Fraction(1, 2), Fraction(-1, 2))

@@ -40,6 +40,19 @@ def _steps(program):
     return list(zip(*program[0]))
 
 
+def _searches(monkeypatch):
+    """The chambers that _special_orders searches from here on, in call order."""
+    searched = []
+    search = residues._special_orders
+
+    def spied(chamber):
+        searched.append(chamber)
+        return search(chamber)
+
+    monkeypatch.setattr(residues, "_special_orders", spied)
+    return searched
+
+
 def binomial(e, m):
     """C(e, m) as the engine's recurrence gives it: entry m of `_binomials`."""
     return _binomials(e, m + 1)[m]
@@ -386,6 +399,25 @@ class TestPartitionCounts:
         assert _partition_of.cache_info().hits == 2
         assert partition_counts([]) == []
 
+    def test_memo_evicts_the_least_recently_used_vector(self, monkeypatch):
+        monkeypatch.setattr(_partition_of, "maxsize", 3)
+        _partition_of.cache_clear()
+        a, b, c, d = (2, 0, -2), (1, 1, -2), (3, -1, -2), (2, 1, -1, -2)
+        e, f, g = (-1, 0, 1), (1, -1, 0, 0), (0, 2, -2)  # e is outside the cone
+        assert partition_counts([a, b, c]) == [3, 2, 3]
+        assert list(_partition_of) == [a, b, c]
+        assert partition_counts([a]) == [3]  # a hit moves a to the newest end
+        assert list(_partition_of) == [b, c, a]
+        assert partition_counts([d]) == [13]  # the oldest, b, goes first
+        assert list(_partition_of) == [c, a, d]
+        assert tuple(_partition_of.cache_info()) == (1, 4, 3, 3)
+        # An evicted vector is counted afresh, and one call of more fresh
+        # vectors than the memo holds keeps the newest.
+        for vectors in ([b], [c, e, f, g]):
+            assert partition_counts(vectors) == [kostant_partition_bruteforce(v) for v in vectors]
+        assert list(_partition_of) == [e, f, g]
+        assert tuple(_partition_of.cache_info()) == (1, 9, 3, 3)
+
     @pytest.mark.parametrize("vector, code", [
         ((Fraction(1, 2), 0, Fraction(-1, 2)), "non-integral"),
         ((1.9, 0, -1.9), "inexact-entry"),
@@ -426,9 +458,9 @@ class TestPartitionCounts:
         widths = []
         compile_ = residues._compile
 
-        def spied(items, width):
-            widths.append(width)
-            return compile_(items, width)
+        def spied(columns):
+            widths.append(len(columns))
+            return compile_(columns)
 
         monkeypatch.setattr(residues, "_compile", spied)
         _partition_of.cache_clear()
@@ -507,10 +539,10 @@ class TestCompiledStep:
         # plans as the one-column program of those orders.  The exponents
         # include 0, where C(0, 1) = 0 makes some outputs zero; a state of
         # either form is indexed by its step's bound plan, zero or not.
-        orders = [(images[::-1], sign) for images, sign in _special_orders(_chamber((2, -1, 1, -2)))]
-        orders += [(tuple(images), 1) for images in itertools.permutations((1, 2, 3))]
-        wide = _compile([(seq, j, sign) for j in range(3) for seq, sign in orders], 3)
-        narrow = _compile([(seq, 0, sign) for seq, sign in orders], 1)
+        orders = _special_orders(_chamber((2, -1, 1, -2)))
+        orders += [(images, 1) for images in itertools.permutations((1, 2, 3))]
+        wide = _compile([orders] * 3)
+        narrow = _compile([orders])
         assert all(keep is None and holds == (0, 1, 2) for _, _, _, keep, holds, _ in _steps(wide))
         assert [step[2] for step in _steps(wide)] == [step[2] for step in _steps(narrow)]
         for columns in [((0, 5, -4), (3, 0, 0), (-2, 1, 7)), ((0, 0, 0), (1, -1, 0), (10**9, -10**9, 2))]:
@@ -522,8 +554,8 @@ class TestCompiledStep:
         programs = []
         compile_ = residues._compile
 
-        def spied(items, width):
-            programs.append(compile_(items, width))
+        def spied(columns):
+            programs.append(compile_(columns))
             return programs[-1]
 
         monkeypatch.setattr(residues, "_compile", spied)
@@ -654,55 +686,38 @@ class TestCompiledStep:
 
 
 class TestChamberOrders:
-    def test_cached_orders_follow_the_definition_on_boxes(self):
-        # One search answers every vector of a chamber, so its entry must hold
-        # for all of them, whichever vector filled it.
-        vectors = [a for rank, bound in _BOXES for a in _zero_sum_box(rank, bound)]
-        expected = [by_definition(a) for a in vectors]
-        _special_orders.cache_clear()
-        for _ in ("cold", "warm"):
-            for a, images in zip(vectors, expected):
-                orders = _special_orders(_chamber(a))
+    def test_cached_orders_follow_the_definition_on_boxes(self, monkeypatch):
+        # One search answers every vector of a chamber, so the orders that a
+        # program compiles into a vector's column must hold for it, whichever
+        # vector of the chamber came first.  The program of a box searches
+        # each of its chambers once.
+        searched = _searches(monkeypatch)
+        monkeypatch.setattr(residues, "_compile", lambda columns: columns)
+        for rank, bound in _BOXES:
+            vectors = list(_zero_sum_box(rank, bound))
+            columns = _program.__wrapped__(tuple(map(_chamber, vectors)))  # uncached: _compile is stubbed
+            for a, orders in zip(vectors, columns):
+                images = by_definition(a)
                 assert [w for w, _ in orders] == images, a
                 assert [sign for _, sign in orders] == [descent_sign(Permutation(w)) for w in images], a
-        info = _special_orders.cache_info()
-        assert info.misses == info.currsize == 2 + 6 + 32 + 370 + 1592
-        assert info.hits == 2 * len(vectors) - info.misses
+        assert len(searched) == len(set(searched)) == 2 + 6 + 32 + 370 + 1592
 
     def test_search_carries_its_signs_without_permutations(self, monkeypatch):
         def no_permutation(images):
             raise AssertionError(f"built Permutation({images!r})")
 
         monkeypatch.setattr(residues, "Permutation", no_permutation)
-        _special_orders.cache_clear()
         orders = _special_orders(_chamber((-1, 2, -3, 4, -5, 3)))
         assert len(orders) == 4 and {sign for _, sign in orders} == {1, -1}
 
     @pytest.mark.parametrize("r, args, chambers", [(4, 16, 2), (5, 66, 5), (6, 402, 19)])
-    def test_theta_arguments_fall_into_few_chambers(self, r, args, chambers):
+    def test_theta_arguments_fall_into_few_chambers(self, monkeypatch, r, args, chambers):
+        searched = _searches(monkeypatch)
         _partition_of.cache_clear()
-        _special_orders.cache_clear()
+        _program.cache_clear()
         assert multiplicity(theta(r), (0,) * (r + 1)) == 2 ** (r * (r - 1) // 2)
         assert _partition_of.cache_info().misses == args
-        assert _special_orders.cache_info().misses == chambers
-
-    def test_chamber_cache_stays_bounded(self, monkeypatch):
-        # With no program cache in front of it, every lone count reads its
-        # orders from the chamber cache.
-        stream = list(_cheap_stream(7, 400))
-        _partition_of.cache_clear()
-        expected = partition_counts(stream)
-        assert _special_orders.cache_info().maxsize == 4096
-        tiny = lru_cache(maxsize=8)(_special_orders.__wrapped__)
-        monkeypatch.setattr(residues, "_special_orders", tiny)
-        monkeypatch.setattr(residues, "_program", _program.__wrapped__)
-        _partition_of.cache_clear()
-        got = []
-        for a in stream:
-            got += partition_counts([a])
-            assert tiny.cache_info().currsize <= 8
-        assert got == expected
-        assert tiny.cache_info().misses > 50
+        assert len(searched) == len(set(searched)) == chambers
 
 
 @st.composite
@@ -740,9 +755,7 @@ class TestChamberProgram:
                   (-1,) + (0,) * (r - 1) + (1,)]
         batch = others + drawn
         assert len({_chamber(a) for a in batch}) > 1
-        items = [(images[::-1], j, sign) for j, a in enumerate(batch)
-                 for images, sign in _special_orders(_chamber(a))]
-        union = _run(_compile(items, len(batch)), [_exponents(a) for a in batch])
+        union = _run(_compile([_special_orders(_chamber(a)) for a in batch]), [_exponents(a) for a in batch])
         for a, total in zip(batch, union):
             assert _run(_program((_chamber(a),)), [_exponents(a)]) == [total], a
             # The count: a lone fresh vector runs its program (zero outside the cone).
@@ -805,9 +818,9 @@ class TestBoundOnce:
         widths = []
         compile_ = residues._compile
 
-        def spied(items, width):
-            widths.append(width)
-            return compile_(items, width)
+        def spied(columns):
+            widths.append(len(columns))
+            return compile_(columns)
 
         monkeypatch.setattr(residues, "_compile", spied)
         _partition_of.cache_clear()
@@ -824,6 +837,37 @@ class TestBoundOnce:
         monkeypatch.setattr(residues, "_plan", refused)
         _partition_of.cache_clear()
         assert multiplicity_polynomial(theta(r), (0,) * (r + 1)) == poly
+
+    @pytest.mark.parametrize("query, r, searches, programs", [
+        (multiplicity, 4, 2, 1), (multiplicity, 5, 5, 1), (multiplicity, 6, 19, 1),
+        (multiplicity_polynomial, 3, 2, 2), (multiplicity_polynomial, 4, 4, 3),
+        (multiplicity_polynomial, 5, 9, 4),
+    ], ids=["sum-4", "sum-5", "sum-6", "ray-3", "ray-4", "ray-5"])
+    def test_a_program_searches_each_of_its_chambers_once(self, monkeypatch, query, r, searches, programs):
+        # The 16, 66 and 402 terms of a theta sum fall into 2, 5 and 19
+        # chambers, each searched once; the programs of a ray each search
+        # their own chambers, once.
+        searched = _searches(monkeypatch)
+        compiled = []
+        compile_ = residues._compile
+
+        def spied(columns):
+            compiled.append((len(searched), columns))
+            return compile_(columns)
+
+        monkeypatch.setattr(residues, "_compile", spied)
+        _partition_of.cache_clear()
+        _program.cache_clear()
+        _plan.cache_clear()
+        query(theta(r), (0,) * (r + 1))
+        assert (len(searched), len(compiled)) == (searches, programs)
+        start = 0
+        for end, columns in compiled:
+            own = searched[start:end]
+            assert len(own) == len(set(own))
+            # Every column of a chamber reads the one list its search returned.
+            assert len({id(orders) for orders in columns}) == len(own)
+            start = end
 
     def test_one_column_binds_each_variable_once(self, monkeypatch):
         a = (2, 1, 1, -1, -1, -2)
@@ -870,11 +914,10 @@ class TestOrderBudget:
         sizes = []
         with monkeypatch.context() as m:
             m.setattr(residues, "_bounded", lambda frontier: sizes.append(len(frontier)) or frontier)
-            _special_orders.cache_clear()
             assert len(_special_orders(_chamber(a))) == 18
         peak = max(sizes)
         assert len(sizes) == 4 and peak > 18
-        _special_orders.cache_clear()
+        searched = _searches(monkeypatch)
         _program.cache_clear()
         with monkeypatch.context() as m:
             m.setattr(permsearch, "FRONTIER_LIMIT", peak - 1)
@@ -883,13 +926,14 @@ class TestOrderBudget:
                 with pytest.raises(BudgetExceeded) as err:
                     call(a)
                 assert err.value.code == "budget-exceeded"
-            assert _special_orders.cache_info().currsize == 0
-        # The refusal was not cached: with the limit restored, the chamber answers.
+            assert len(searched) == 3 and _program.cache_info().currsize == 0
+        # The refusal was not cached: with the limit restored, the chamber is
+        # searched again and answers.
         _partition_of.cache_clear()
         assert partition_counts([a]) == [kostant_partition_bruteforce(a)] == [80]
         assert len(special_permutations(a)) == 18
+        assert len(searched) == 5
         # At the limit the search still runs.
-        _special_orders.cache_clear()
         _program.cache_clear()
         _partition_of.cache_clear()
         monkeypatch.setattr(permsearch, "FRONTIER_LIMIT", peak)

@@ -153,6 +153,16 @@ class TestDistinguishedVectors:
                 total = vec_add(total, alpha)
             assert vec_scale(total, F(1, 2)) == rho(r)
 
+    @pytest.mark.parametrize("call, code", [
+        (lambda: from_fundamental([]), "bad-length"),
+        (lambda: rho(0), "bad-rank"),
+        (lambda: theta(0), "bad-rank"),
+    ], ids=["empty-fundamental", "rho-0", "theta-0"])
+    def test_rankless_input_is_refused(self, call, code):
+        with pytest.raises(ValidationError) as err:
+            call()
+        assert err.value.code == code
+
 
 class TestCone:
     def test_examples(self):
