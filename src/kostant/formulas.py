@@ -19,7 +19,7 @@ permsearch.weyl_candidates finds them.  The w are grouped by the dominant
 form of gamma, their signs added, and each gamma left with a non-zero sign
 contributes the Kostant terms of its multiplicity, so one coefficient is
 one alternating partition sum.  (The paper's form, Steinberg's double sum
-over couples (w1, w2), has many times the terms; kostant/arbitration.py
+over couples (w1, w2), has many times the terms; tests/_arbitration.py
 keeps it to arbitrate its couple sign.)  The arguments of one sum are int
 tuples built here, so they are counted in-process by one batched call of the
 engine's unchecked residues._counts, and a sum of more than TERM_LIMIT terms

@@ -34,9 +34,6 @@ class Permutation:
     def __len__(self) -> int:
         return len(self.images)
 
-    def __call__(self, i: int) -> int:
-        return self.images[i - 1]
-
     def __eq__(self, other) -> bool:
         return isinstance(other, Permutation) and self.images == other.images
 
@@ -67,12 +64,6 @@ class Permutation:
     @property
     def signature(self) -> int:
         return -1 if self.inversions % 2 else 1
-
-    def inverse(self) -> "Permutation":
-        inv = [0] * len(self.images)
-        for i, img in enumerate(self.images, start=1):
-            inv[img - 1] = i
-        return Permutation(inv)
 
     def apply(self, seq: Sequence) -> Tuple:
         """Rearrangement (seq_{w(1)}, ..., seq_{w(m)}) of a length-m sequence."""

@@ -10,9 +10,9 @@ e_i - e_j (i < j) equals an alternating sum of iterated residues at z = 0 of
 
 taken over a pruned set of variable orders (the "special" permutations of
 the regularised vector), the residue for an order w weighted by
-(-1)^(descents of w).  The order search carries that parity, and
-kostant/arbitration.py re-derives the sign against its only rival, the
-inversion parity, on exhaustive boxes.
+(-1)^(descents of w).  The order search carries that parity, and the test
+suite (tests/_arbitration.py) re-derives the sign against its only rival,
+the inversion parity, on exhaustive boxes.
 
 Residues are extracted one variable at a time, z_{w(r)} first, and each
 step needs only the coefficients below the pole order of the active

@@ -11,8 +11,8 @@ so Steinberg's couple terms (_couple_terms) are built here only, to be
 weighed.  Each case's terms are computed once, as (the permutations a sign
 reads, the term's unsigned value), and weighed by each candidate in turn
 against the brute-force references on exhaustive small boxes; exactly one
-candidate of each pair survives.  The test suite re-runs this procedure and
-writes the outcome to artifacts/sign_arbitration.json.
+candidate of each pair survives.  The suite's sign_gates fixture runs this
+procedure and writes the outcome to artifacts/sign_arbitration.json.
 """
 
 from __future__ import annotations
@@ -22,12 +22,12 @@ from itertools import product
 from pathlib import Path
 from typing import Dict, Iterable, List, Optional, Tuple
 
-from .formulas import _ints, _plus_rho
-from .permsearch import valid_couples
-from .permutations import Permutation
-from .reference import kostant_partition_bruteforce, tensor_bruteforce_lr
-from .residues import _exponents, iterated_residue, kostant_partition, special_permutations
-from .vectors import DominantWeight, deform, from_fundamental, in_positive_cone, is_regular, weight_triple
+from kostant.formulas import _ints, _plus_rho
+from kostant.permsearch import valid_couples
+from kostant.permutations import Permutation
+from kostant.reference import kostant_partition_bruteforce, tensor_bruteforce_lr
+from kostant.residues import _exponents, iterated_residue, kostant_partition, special_permutations
+from kostant.vectors import DominantWeight, deform, from_fundamental, in_positive_cone, is_regular, weight_triple
 
 
 def descent_sign(w: Permutation) -> int:

@@ -16,7 +16,7 @@ import pathlib
 import pytest
 from hypothesis import settings
 
-from kostant.arbitration import write_arbitration_record
+from _arbitration import write_arbitration_record
 
 settings.register_profile("ci", derandomize=True, deadline=None)
 settings.load_profile(os.environ.get("HYPOTHESIS_PROFILE", "default"))

@@ -3,14 +3,12 @@
 import json
 import pathlib
 
-from kostant.arbitration import RESIDUE_DOMAINS, cone_box
+from _arbitration import RESIDUE_DOMAINS, cone_box, write_arbitration_record
 
 
 def test_artifact_written(sign_gates, tmp_path):
     # the session fixture already wrote the canonical artifact; write a
     # scratch copy too and check it round-trips as JSON
-    from kostant.arbitration import write_arbitration_record
-
     path = tmp_path / "record.json"
     record = write_arbitration_record(path)
     on_disk = json.loads(path.read_text())

@@ -1,9 +1,11 @@
 """Command-line interface behavior, including batch mode and exit codes."""
 
 import argparse
+import ast
 import json
 import os
 import pathlib
+import re
 import shlex
 import sys
 from fractions import Fraction
@@ -143,6 +145,15 @@ def _readme_examples():
     return examples
 
 
+def _readme_python():
+    """The python code block of README.md (the library quick start)."""
+    return README.read_text().split("```python\n", 1)[1].split("```", 1)[0]
+
+
+# "expr  # 2" or "expr  # (1, 3, 3, 1), ...": the value a quick-start line shows
+_SHOWN_VALUE = re.compile(r"#\s*(\([-\d, ]*\)|-?\d+)")
+
+
 # Every subcommand's flags and positionals: --oracle only where there is an
 # oracle, --basis only on the four weight commands, no --timing on convert.
 SURFACE = {
@@ -171,6 +182,24 @@ class TestSurface:
     def test_readme_has_examples(self):
         assert len(_readme_examples()) >= 7
 
+    def test_readme_library_quick_start(self):
+        # run the block statement by statement; each expression whose comment
+        # shows a value must evaluate to it
+        source, namespace, shown = _readme_python(), {}, []
+        lines = source.splitlines()
+        for stmt in ast.parse(source).body:
+            code = ast.get_source_segment(source, stmt)
+            if not isinstance(stmt, ast.Expr):
+                exec(code, namespace)
+                continue
+            value = eval(code, namespace)
+            comment = _SHOWN_VALUE.search(lines[stmt.lineno - 1])
+            if comment:
+                shown.append((code, ast.literal_eval(comment.group(1)), value))
+        assert [expected for _, expected, _ in shown] == [2, 2, 2, (1, 3, 3, 1)]
+        assert [value for _, _, value in shown] == [expected for _, expected, _ in shown], shown
+        assert namespace["fit"].evaluate(10**9) == (10**9 + 1) ** 3
+
     def test_subcommands(self):
         assert set(_subparsers()) == set(SURFACE)
 
@@ -197,6 +226,14 @@ class TestValidation:
         code, _, err = run_cli(capsys, "kostant", "--rank", "2", "1,-1")
         assert code == EXIT_INVALID
         assert "bad-length" in err
+
+    def test_fundamental_weight_of_the_wrong_length_rejected(self, capsys):
+        # refused as read, before the engine meets two weights of unequal rank
+        code, out, err = run_cli(capsys, "mult", "--rank", "2", "--basis", "fundamental",
+                                 "--lambda", "1,1,1", "--mu", "0,0")
+        assert (code, out) == (EXIT_INVALID, "")
+        assert json.loads(err) == {"error": "bad-length",
+                                   "message": "lambda: rank 2 takes 2 fundamental coordinates"}
 
     def test_non_dominant_lambda_rejected(self, capsys):
         code, _, err = run_cli(
@@ -338,9 +375,13 @@ class TestBatch:
         (json.dumps({"command": "poly-tensor", "rank": 1, "lambda": "1,0", "mu": "1,0",
                      "nu": "2,0", "oracle": True}), "bad-oracle"),
         (json.dumps({"command": "convert", "rank": 2, "vector": "1,0,-1", "to": "weyl"}), "bad-basis"),
+        (json.dumps({"command": "mult", "rank": 2, "basis": "fundamental", "lambda": "1,1,1",
+                     "mu": "0,0"}), "bad-length"),
+        (json.dumps({"command": "convert", "rank": 2, "vector": "1,0,-1", "to": "canonical"}),
+         "bad-length"),
     ], ids=["not-object", "missing-key", "bool-rank", "list-command", "deep-nesting",
             "string-oracle", "convert-oracle", "poly-mult-oracle", "poly-tensor-oracle",
-            "convert-unknown-target"])
+            "convert-unknown-target", "fundamental-too-long", "convert-to-canonical-too-long"])
     def test_bad_record_does_not_end_stream(self, capsys, monkeypatch, bad, code):
         import io
 

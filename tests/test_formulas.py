@@ -8,9 +8,10 @@ from fractions import Fraction
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from _arbitration import _couple_terms
+
 import kostant.formulas
 from kostant import BudgetExceeded
-from kostant.arbitration import _couple_terms
 from kostant.formulas import (
     TERM_LIMIT,
     RayFitFailure,

@@ -49,17 +49,6 @@ class TestStatistics:
         assert w.inversions == 6
         assert w.descents == 3
 
-    @given(st.permutations(list(range(1, 6))))
-    def test_signature_multiplicativity_with_inverse(self, images):
-        w = Permutation(tuple(images))
-        assert w.inverse().signature == w.signature
-
-    def test_inverse(self):
-        w = Permutation((3, 1, 2))
-        assert w.inverse().images == (2, 3, 1)
-        for i in range(1, 4):
-            assert w.inverse()(w(i)) == i
-
 
 class TestApply:
     def test_apply_permutes_by_image_positions(self):
@@ -71,11 +60,27 @@ class TestApply:
         w = Permutation.identity(3)
         assert w.apply((5, 6, 7)) == (5, 6, 7)
 
-    @given(st.permutations(list(range(1, 7))))
-    def test_apply_then_inverse_restores(self, images):
-        w = Permutation(tuple(images))
-        seq = tuple(range(10, 10 + len(images)))
-        assert w.inverse().apply(w.apply(seq)) == seq
+    @pytest.mark.parametrize("seq", [(), (5, 6), (5, 6, 7, 8)])
+    def test_apply_refuses_a_sequence_of_the_wrong_length(self, seq):
+        with pytest.raises(ValueError, match="length"):
+            Permutation((3, 1, 2)).apply(seq)
+
+
+class TestValueSemantics:
+    @given(st.permutations(list(range(1, 6))))
+    def test_equal_permutations_hash_equal(self, images):
+        # built apart, from a tuple and from a list: equal, one hash, one set member
+        w, same = Permutation(tuple(images)), Permutation(list(images))
+        assert w is not same and w == same and hash(w) == hash(same)
+        assert len({w, same}) == 1
+
+    def test_not_equal_to_its_images(self):
+        assert Permutation((2, 1)) != (2, 1)
+
+    @pytest.mark.parametrize("images", list(itertools.permutations((1, 2, 3))) + [(1,)])
+    def test_repr_evaluates_back(self, images):
+        w = Permutation(images)
+        assert eval(repr(w), {"Permutation": Permutation}) == w
 
 
 def test_all_rank_three_statistics():

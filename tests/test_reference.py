@@ -8,6 +8,7 @@ from fractions import Fraction
 import pytest
 
 from kostant import reference
+from kostant.cli import EXIT_OK, main
 from kostant.formulas import multiplicity, tensor_product
 from kostant.reference import (
     OracleDomainError,
@@ -214,6 +215,42 @@ class TestLittlewoodRichardson:
                 if c:
                     total += c * weyl_dimension(nu)
             assert total == weyl_dimension(lam) * weyl_dimension(mu)
+
+
+def _oracle_line(capsys, *argv):
+    """(exit code, printed lines) of a single command run with --oracle."""
+    code = main([*argv, "--oracle"])
+    return code, capsys.readouterr().out.splitlines()
+
+
+class TestBoxLimits:
+    """Each oracle refuses past its box with OracleDomainError, and --oracle
+    then reports the engine's answer as skipped, not as a disagreement."""
+
+    def test_freudenthal_state_limit(self, capsys, monkeypatch):
+        # the adjoint of sl(3) spans a 2 x 2 box of simple-root coefficients
+        adj = DominantWeight((1, 0, -1))
+        reference._freudenthal_table.cache_clear()  # a cached table skips the limit
+        monkeypatch.setattr(reference, "_FREUDENTHAL_STATE_LIMIT", 3)
+        with pytest.raises(OracleDomainError, match="would need 4 points") as refused:
+            multiplicity_freudenthal(adj, (0, 0, 0))
+        assert refused.value.code == "oracle-out-of-box"
+        assert _oracle_line(capsys, "mult", "--rank", "2", "--lambda", "1,0,-1", "--mu", "0,0,0") == (
+            EXIT_OK, ["2", "oracle: skipped (outside reference box)"])
+        monkeypatch.setattr(reference, "_FREUDENTHAL_STATE_LIMIT", 4)
+        assert multiplicity_freudenthal(adj, (0, 0, 0)) == 2
+
+    def test_tableau_cell_limit(self, capsys):
+        # V(0) (x) V(mu) = V(mu): the skew shape is mu's one row, 62 cells
+        trivial, mu = DominantWeight((0, 0)), DominantWeight((31, -31))
+        with pytest.raises(OracleDomainError, match="skew shape") as refused:
+            tensor_bruteforce_lr(trivial, mu, mu)
+        assert refused.value.code == "oracle-out-of-box"
+        assert _oracle_line(capsys, "tensor", "--rank", "1", "--lambda", "0,0",
+                            "--mu", "31,-31", "--nu", "31,-31") == (
+            EXIT_OK, ["1", "oracle: skipped (outside reference box)"])
+        # 60 cells are still counted
+        assert tensor_bruteforce_lr(trivial, DominantWeight((30, -30)), DominantWeight((30, -30))) == 1
 
 
 class TestWeylDimension:

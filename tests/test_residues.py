@@ -9,8 +9,9 @@ from functools import lru_cache
 import pytest
 from hypothesis import assume, example, given, settings, strategies as st
 
+from _arbitration import descent_sign
+
 from kostant import permsearch, residues
-from kostant.arbitration import descent_sign
 from kostant.formulas import multiplicity, multiplicity_polynomial, tensor_product
 from kostant.permsearch import BudgetExceeded
 from kostant.permutations import Permutation
