@@ -74,8 +74,6 @@ EXIT_INTERNAL = 5
 
 def _parse_vector(text) -> Vector:
     items = text if isinstance(text, (list, tuple)) else str(text).split(",")
-    if not items:
-        raise ValidationError("bad-length", "empty vector")
     return tuple(_exact(str(tok)) for tok in items)
 
 

@@ -20,9 +20,13 @@ variable, so the cost never depends on the sizes of the entries of a.  A
 step is a plan of which exponent tuples arise and from which (entry, m_0)
 pairs, cached per process and named by the rank, the depth and the position
 of the eliminated variable among the active ones, and an apply that does
-only integer multiply-adds.  Orders whose elimination sequences w(r),
-w(r-1), ... share a prefix share their steps, so one walker runs a compiled
-program: the union prefix tree of a set of orders over one or more exponent
+only integer multiply-adds.  A residue is linear in its integrand, so the
+walker applies the steps transposed, backward from the one coefficient
+left at the end: z_{w(1)}'s step first.  Orders whose images w(1), w(2),
+... share a prefix then share the steps of that prefix, the late and
+costly ones, and the columns of a batch whose exponents agree on the
+prefix's variables share its state.  One walker runs a compiled program:
+the prefix tree of the images of a set of orders over one or more exponent
 columns, flattened depth first.  The fresh vectors of one rank run the
 program of their chamber sequence, compiled once per sequence from one
 order search per distinct chamber, and a run binds each variable's
@@ -114,24 +118,25 @@ def _plan(r: int, depth: int, tpos: int):
     the one in the active variable at position `tpos`: which exponent tuples
     come out, and from what.
 
-    Returns (sign, top, out_keys, sources): sources[k] lists the (i, m_0)
-    whose products rows[i] * sign * C(e_t, m_0) add up to the coefficients of
-    out_keys[k], and every m_0 is below top.  The sign is -1 when an odd
-    number of the active variables lie above the eliminated one.  Nothing
-    here depends on the exponents e_t.  The root (-1, ..., -1) is symmetric
-    in the variables and so is a step, so every elimination prefix of a depth
-    gives one key set; sorted, it is the row layout of every state at that
-    depth, and a step at `depth` reads the out_keys of _plan(r, depth - 1, 0).
+    Returns (sign, top, out_keys, into): into[i] lists the (k, m_0) such that
+    coefficient i of the step's input, times sign * C(e_t, m_0), adds to
+    coefficient k of its output, whose exponent tuples are out_keys.  Every
+    m_0 is below top.  The sign is -1 when an odd number of the active
+    variables lie above the eliminated one.  Nothing here depends on the
+    exponents e_t.  The root (-1, ..., -1) is symmetric in the variables and
+    so is a step, so every elimination prefix of a depth gives one key set;
+    sorted, it is the layout of every state at that depth, and a step at
+    `depth` reads the out_keys of _plan(r, depth - 1, 0).
     """
     keys = _plan(r, depth - 1, 0)[2] if depth else ((-1,) * r,)
-    others, sources = r - depth - 1, {}
-    for i, exps in enumerate(keys):
+    others, rows = r - depth - 1, []
+    for exps in keys:
         base = exps[:tpos] + exps[tpos + 1:]
-        for m0, shift in _shifts(-exps[tpos] - 1, others):
-            sources.setdefault(tuple(map(add, base, shift)), []).append((i, m0))
-    out_keys = tuple(sorted(sources))
-    return (-1 if (others - tpos) % 2 else 1, -min(exps[tpos] for exps in keys), out_keys,
-            tuple(tuple(sources[e]) for e in out_keys))
+        rows.append([(tuple(map(add, base, shift)), m0) for m0, shift in _shifts(-exps[tpos] - 1, others)])
+    out_keys = sorted({e for row in rows for e, _ in row})
+    index = dict(zip(out_keys, range(len(out_keys))))
+    return (-1 if (others - tpos) % 2 else 1, -min(exps[tpos] for exps in keys), tuple(out_keys),
+            tuple(tuple((index[e], m0) for e, m0 in row) for row in rows))
 
 
 def _binomials(e: int, top: int) -> List[int]:
@@ -142,63 +147,56 @@ def _binomials(e: int, top: int) -> List[int]:
     return b
 
 
-def _binomial_rows(e_t: Sequence[int], top: int) -> List[List[int]]:
-    """Row m < top is C(e, m) per e in e_t, by the recurrence of `_binomials`."""
-    rows = [[1] * len(e_t)]
-    for m in range(1, top):
-        rows.append([b * (e - m + 1) // m for b, e in zip(rows[-1], e_t)])
-    return rows
-
-
 def _compile(columns: Sequence[Sequence[Tuple[Tuple[int, ...], int]]]) -> tuple:
-    """The walk of the union prefix tree of weighted orders over exponent
-    columns, flattened depth first; it never reads the exponents.
+    """The walk of the prefix tree of the images w(1), w(2), ... of weighted
+    orders over exponent columns, flattened depth first; it never reads the
+    exponents.
 
     columns[j] lists the (w.images, sign) of column j's orders, as
-    _special_orders gives them, and may be empty.  Returns (steps, leaves,
-    tops), steps and leaves each a tuple of fields with one entry per step
-    or leaf.  Step k reads state parents[k] (state 0, the root, is the
-    factor 1/(z_1 ... z_r), 1 in every column), keeps only its row positions
-    keeps[k] (None when no column drops), takes the residue in variable
-    variables[k] + 1 by its plan's sources[k] for the columns holds[k], and
-    writes state k + 1; lasts[k] marks the parent's last reader.  A step is
-    linear, so its plan's sign moves to the leaves: a leaf (slot, position,
-    column, sign) adds sign times entry `position` of the one row of state
-    slot, or the entry itself (position None) when the state holds one
-    column, to the column's total.  tops[v] bounds variable v + 1's m_0.  A
-    step's plan is _plan(r, depth, position of its variable among the
-    active ones), so no exponent tuple is passed down the tree.  The step at
-    depth d eliminates images[~d]: z_{w(r)} first.
+    _special_orders gives them, and may be empty.  Returns (steps, tops),
+    steps the fields (depths, variables, into, holds, ends), one entry per
+    tree node but the root.  Step n is the node (w(1), ..., w(k+1)) with
+    k = depths[n]: it reads the state that its parent, the last node of
+    depth k before it, left at depth k, takes the transposed residue in
+    variable variables[n] + 1 = w(k+1) by its plan's into[n] for the
+    columns holds[n] whose orders pass through it, and leaves its state at
+    depth k + 1.  The step of w(k+1) is the residue at depth r - 1 - k, at
+    the position of w(k+1) among w(1), ..., w(k+1), and it is linear, so
+    its plan's sign moves to the ends.  The first residue, in z_{w(r)}
+    alone, only multiplies by C(e, 0) = 1, so above rank 1 w(r) takes no
+    step and its sign joins the ends of the node (w(1), ..., w(r-1)): each
+    (column, sign) of ends[n] adds sign times the one coefficient of the
+    node's state to the column's total.  tops[v] bounds variable v + 1's
+    m_0.
     """
-    items = [(images, j, sign) for j, orders in enumerate(columns) for images, sign in orders]
+    items = sorted((images, j, sign) for j, orders in enumerate(columns) for images, sign in orders)
     r = len(items[0][0]) if items else 0
-    steps, leaves, tops = [], [], [0] * r
-
-    def build(active, cols, group, slot, path_sign):
-        # State `slot` holds the columns cols, row position k being column cols[k].
-        if not active:  # every variable is gone: the state holds one key, ()
-            where = {j: k for k, j in enumerate(cols)} if len(cols) > 1 else {cols[0]: None}
-            leaves.extend((slot, where[j], j, path_sign * sign) for _, j, sign in group)
-            return
-        by_var, depth = {}, r - len(active)
-        for item in group:
-            by_var.setdefault(item[0][~depth], []).append(item)
-        for t, sub in sorted(by_var.items()):
-            held = {j for _, j, _ in sub} if len(cols) > 1 else cols
-            sub_cols, keep = cols, None
-            if len(held) < len(cols):
-                sub_cols = tuple(sorted(held))
-                keep = tuple(map({j: k for k, j in enumerate(cols)}.get, sub_cols))
-            sign, top, _, sources = _plan(r, depth, active.index(t))
-            tops[t - 1] = max(tops[t - 1], top)
-            child = len(steps)
-            steps.append([slot, t - 1, sources, keep, sub_cols, False])
-            build([v for v in active if v != t], sub_cols, sub, child + 1, path_sign * sign)
-        steps[child][-1] = True
-
-    build(list(range(1, r + 1)), tuple(range(len(columns))), items, 0, 1)
-    del build  # a cycle through its own closure, which would hold steps until a GC pass
-    return tuple(zip(*steps)), tuple(zip(*leaves)), tuple(tops)
+    full = max(r - 1, 1)  # the depth of the nodes with ends
+    steps, tops = [], [0] * r
+    path, masks, signs = [0] * (r + 1), [0] * (r + 1), [1] * (r + 1)
+    last = [[-1] * len(columns) for _ in range(r + 1)]  # the last node per depth to hold each column
+    lone = (0,) if len(columns) == 1 else None  # one column: every node holds it, one shared tuple
+    prev = (0,) * r
+    for images, j, sign in items:
+        k = 0
+        while k < r and images[k] == prev[k]:
+            k += 1
+        for d in range(k, r):  # the node at depth d + 1, below the path's node at depth d
+            t, mask = images[d], masks[d]
+            plan_sign, top, _, into = _plan(r, r - 1 - d, bin(mask & ((1 << t) - 1)).count("1"))
+            masks[d + 1], signs[d + 1] = mask | 1 << t, signs[d] * plan_sign
+            if d < full:
+                tops[t - 1] = max(tops[t - 1], top)
+                path[d + 1] = len(steps)
+                steps.append((d, t - 1, into, lone or [], []))
+        for d in range(1, full + 1) if lone is None else ():
+            if last[d][j] != path[d]:
+                last[d][j] = path[d]
+                steps[path[d]][3].append(j)
+        steps[path[full]][4].append((j, signs[r] * sign))
+        prev = images
+    # Tuples: the garbage collector stops tracking them, where lists stay tracked.
+    return tuple(zip(*[(d, v, into, tuple(held), tuple(ends)) for d, v, into, held, ends in steps])), tuple(tops)
 
 
 @lru_cache(maxsize=1024)
@@ -215,46 +213,50 @@ def _program(chambers: Tuple[bytes, ...]) -> tuple:
 def _run(program: tuple, exponent_columns: Sequence[Sequence[int]]) -> List[int]:
     """Per exponent column, the signed sum of the residues of its orders in `program`.
 
-    A state gives the coefficient of each exponent tuple of its plan's
-    out_keys over the variables still active: a row of ints, one per column
-    it holds, or the int itself once it holds a single column.  Column j has
-    the factor (1+z_t)^{e_t[j]}, and every other active z_i brings the shared
-    1/(z_i - z_t) = sum_m z_t^m z_i^{-1-m}, negated when i > t.  A term with
-    z_t^{-p} pairs with the z_t^{p-1} coefficient of their product: the sum
-    over m_0 + sum m_i = p - 1 of C(e_t, m_0) prod z_i^{-1-m_i}.  Every state
-    exponent is at most -1, so p >= 1 and the work never depends on e_t.
-    Each variable's binomials are bound once per run: a list for one column,
-    rows over every column for a batch, whose columns a narrowed step picks.
-    A step's sources say which products feed which output, so a step only
-    narrows its parent's rows to the columns it holds, then multiplies and
-    adds, in the state's own form, and keeps every output.
+    A residue is linear in its integrand, so the walk runs backward: the
+    value is l . M_{w(1)} ... M_{w(r)} . 1, where 1 is the factor
+    1/(z_1 ... z_r), M_t takes the residue in z_t and l reads the one
+    coefficient left at the end.  A state is a covector over the exponent
+    tuples of its depth, a list of ints, and a step's entry i is the sum
+    over its plan's into[i] of out[k] * C(e_t, m_0).  Column j has the
+    factor (1+z_t)^{e_t[j]}, and every other active z_i brings the shared
+    1/(z_i - z_t) = sum_m z_t^m z_i^{-1-m}, negated when i > t; every
+    exponent is at most -1, so the work never depends on e_t.  The covector
+    of a node (w(1), ..., w(k)) depends on that prefix and on the exponents
+    of w(1), ..., w(k) alone, so the columns of a node fall into classes,
+    one per (e_{w(k)}, parent class) and named by its first column, and
+    each class takes the step once; a node of one column needs no merging.
+    Each variable's binomials are bound once per run, one list per distinct
+    exponent, which every column of that exponent holds.
     """
-    steps, leaves, tops = program
+    steps, tops = program
     width = len(exponent_columns)
-    if width == 1:
-        binomials = list(map(_binomials, exponent_columns[0], tops))
-        states = [[1]]
-    else:
-        binomials = list(map(_binomial_rows, zip(*exponent_columns), tops))
-        states = [[[1] * width]]
-    for parent, v, sources, keep, cols, last in zip(*steps):
-        vals = states[parent]
-        if last:
-            states[parent] = None
-        if keep is not None:  # itemgetter of one position gives the int itself
-            vals = list(map(itemgetter(*keep), vals))
-        b = binomials[v]
-        if len(cols) < width:
-            b = list(map(itemgetter(*cols), b))
-        if len(cols) == 1:
-            states.append([sum([vals[i] * b[m0] for i, m0 in src]) for src in sources])
-        else:
-            states.append([list(map(sum, zip(*[map(mul, vals[i], b[m0]) for i, m0 in src])))
-                           for src in sources])
+    if width == 1:  # column 0 names every class
+        binomials = list(zip(map(_binomials, exponent_columns[0], tops)))
+        classes = [[0]] * (len(tops) + 1)
+    else:  # one list per distinct exponent, held by each of its columns
+        exponents = list(zip(*exponent_columns))
+        binomials = [tuple(map({e: _binomials(e, top) for e in set(ev)}.get, ev)) for ev, top in zip(exponents, tops)]
+        classes = [[0] * width for _ in range(len(tops) + 1)]  # per depth, each column's class
+    states = [{0: [1]}] + [None] * len(tops)  # per depth, each class's covector
     totals = [0] * width
-    for slot, position, column, sign in zip(*leaves):
-        value = states[slot][0]
-        totals[column] += sign * (value if position is None else value[position])
+    for d, v, into, holds, ends in zip(*steps):
+        b, parents = binomials[v], states[d]
+        if len(holds) == 1:
+            j, = holds
+            out, bins = parents[classes[d][j]], b[j]
+            classes[d + 1][j] = j
+            state = {j: [sum([out[k] * bins[m0] for k, m0 in src]) for src in into]}
+        else:  # a class is named by its first column
+            ev, cls, child, reps, state = exponents[v], classes[d], classes[d + 1], {}, {}
+            for j in holds:
+                child[j] = reps.setdefault((ev[j], cls[j]), j)
+            for (_, c), j in reps.items():
+                out, bins = parents[c], b[j]
+                state[j] = [sum([out[k] * bins[m0] for k, m0 in src]) for src in into]
+        states[d + 1] = state
+        for j, sign in ends:
+            totals[j] += sign * state[classes[d + 1][j]][0]
     return totals
 
 

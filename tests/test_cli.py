@@ -393,6 +393,24 @@ class TestBatch:
         assert rows[1]["value"] == "2"
         assert exit_code == EXIT_INVALID
 
+    @pytest.mark.parametrize("empty", [
+        {"command": "kostant", "rank": 1, "vector": []},
+        {"command": "convert", "rank": 1, "vector": [], "to": "fundamental"},
+        {"command": "convert", "rank": 1, "vector": [], "to": "canonical"},
+        {"command": "mult", "rank": 1, "lambda": [], "mu": "0,0"},
+    ], ids=["kostant", "convert-to-fundamental", "convert-to-canonical", "mult-lambda"])
+    def test_empty_vector_is_a_bad_length_and_the_stream_goes_on(self, capsys, monkeypatch, empty):
+        # No rank takes an empty vector, so the length checks refuse it.
+        import io
+
+        good = json.dumps({"command": "kostant", "rank": 2, "vector": "1,0,-1"})
+        monkeypatch.setattr("sys.stdin", io.StringIO(json.dumps(empty) + "\n" + good))
+        exit_code, out, _ = run_cli(capsys, "batch")
+        rows = [json.loads(line) for line in out.strip().splitlines()]
+        assert (rows[0]["error"], rows[0]["line"]) == ("bad-length", 1)
+        assert rows[1]["value"] == "2"
+        assert exit_code == EXIT_INVALID
+
     @pytest.mark.parametrize("extra", [
         {"threads": 2}, {"threads": 0}, {"threads": "x"}, {"colour": [1, {"a": None}]},
         {"oracle": False},

@@ -5,6 +5,7 @@ import math
 import random
 from fractions import Fraction
 from functools import lru_cache
+from operator import mul
 
 import pytest
 from hypothesis import assume, example, given, settings, strategies as st
@@ -13,11 +14,10 @@ from _arbitration import descent_sign
 
 from kostant import permsearch, residues
 from kostant.formulas import multiplicity, multiplicity_polynomial, tensor_product
-from kostant.permsearch import BudgetExceeded
+from kostant.permsearch import BudgetExceeded, valid_permutations
 from kostant.permutations import Permutation
 from kostant.reference import kostant_partition_bruteforce
 from kostant.residues import (
-    _binomial_rows,
     _binomials,
     _chamber,
     _compile,
@@ -37,8 +37,18 @@ from kostant.vectors import DominantWeight, ValidationError, deform, in_positive
 
 
 def _steps(program):
-    """A program's steps as (parent, variable, sources, keep, holds, last) tuples."""
+    """A program's steps as (depth, variable, into, holds, ends) tuples."""
     return list(zip(*program[0]))
+
+
+def _classes(program, exponent_columns):
+    """Per step, the number of distinct exponent tuples that the columns it
+    holds have on the variables of its node's prefix."""
+    prefix, counts = [], []
+    for depth, variable, _, holds, _ in _steps(program):
+        prefix[depth:] = [variable]
+        counts.append(len({tuple(exponent_columns[j][v] for v in prefix) for j in holds}))
+    return counts
 
 
 def _searches(monkeypatch):
@@ -430,9 +440,11 @@ class TestPartitionCounts:
             assert err.value.code == code
         assert partition_counts([(Fraction(2), 0, Fraction(-2))]) == [3]
 
-    @pytest.mark.parametrize("r, steps", [(4, 6), (5, 15), (6, 39)])
+    @pytest.mark.parametrize("r, steps", [(4, 6), (5, 18), (6, 54)])
     def test_theta_takes_one_step_per_distinct_order_prefix(self, monkeypatch, r, steps):
-        # Walking each term on its own takes 72, 438 and 3582 steps.
+        # One step per distinct images prefix w(1), ..., w(k), k < r: w(r)
+        # follows from the rest.  Walking each term on its own takes 60, 426
+        # and 3900 steps.
         taken = []
         run = residues._run
 
@@ -528,28 +540,29 @@ class TestCompiledStep:
     def test_recurrence_rows_are_exact_binomials(self):
         # Covers the zero band 0 <= e < m, where C(e, m) = 0 for every later m.
         exponents = list(range(-30, 31)) + [10**9, -10**9]
-        rows = _binomial_rows(exponents, 12)
-        assert len(rows) == 12
-        for m, row in enumerate(rows):
-            assert row == [exact_binomial(e, m) for e in exponents], m
-            assert [_binomials(e, 12)[m] for e in exponents] == row
+        for e in exponents:
+            row = _binomials(e, 12)
+            assert row == [exact_binomial(e, m) for m in range(12)], e
+            assert _binomials(e, 5) == row[:5]
 
     def test_one_column_step_is_a_column_of_the_rows_step(self):
-        # Every order of rank 3 in each of three columns: no column ever drops,
-        # so the batch program runs the rows kernel at every step, on the same
-        # plans as the one-column program of those orders.  The exponents
-        # include 0, where C(0, 1) = 0 makes some outputs zero; a state of
-        # either form is indexed by its step's bound plan, zero or not.
+        # Every order of rank 3 in each of three columns: every step holds all
+        # three, on the same plans as the one-column program of those orders,
+        # and columns that agree on a prefix's exponents share its class.  The
+        # exponents include 0, where C(0, 1) = 0 makes some outputs zero; a
+        # state is indexed by its step's plan, zero or not.
         orders = _special_orders(_chamber((2, -1, 1, -2)))
         orders += [(images, 1) for images in itertools.permutations((1, 2, 3))]
         wide = _compile([orders] * 3)
         narrow = _compile([orders])
-        assert all(keep is None and holds == (0, 1, 2) for _, _, _, keep, holds, _ in _steps(wide))
-        assert [step[2] for step in _steps(wide)] == [step[2] for step in _steps(narrow)]
-        for columns in [((0, 5, -4), (3, 0, 0), (-2, 1, 7)), ((0, 0, 0), (1, -1, 0), (10**9, -10**9, 2))]:
+        assert all(holds == (0, 1, 2) for _, _, _, holds, _ in _steps(wide))
+        assert [step[:3] for step in _steps(wide)] == [step[:3] for step in _steps(narrow)]
+        for columns in [((0, 5, -4), (3, 0, 0), (-2, 1, 7)), ((0, 0, 0), (1, -1, 0), (10**9, -10**9, 2)),
+                        ((1, 2, 3), (1, 2, 4), (1, 5, 3))]:
             got = _run(wide, columns)
             assert all(type(v) is int for v in got)
             assert got == [_run(narrow, [exponents])[0] for exponents in columns], columns
+        assert 1 in _classes(wide, ((1, 2, 3), (1, 2, 4), (1, 5, 3)))  # all three agree on e_1
 
     def test_narrowing_reaches_the_one_column_kernel(self, monkeypatch):
         programs = []
@@ -563,23 +576,29 @@ class TestCompiledStep:
         _partition_of.cache_clear()
         batch = [(2, -1, 1, -2), (1, 1, -1, -1)]
         assert partition_counts(batch) == [kostant_partition_bruteforce(a) for a in batch] == [4, 5]
-        # The walk is depth first, so step k's first child step is step k + 1,
-        # whose parent is state k + 1.
+        # Depth first: the nodes (1), (1, 2), (2), (2, 1), (3), (3, 1) of the
+        # images of the two columns' orders, 123 and 213 in one, 123 and 312 in
+        # the other; only 123 is shared, and the last image takes no step.
         steps = _steps(programs[-1])
-        assert any(len(steps[k][4]) == 2 and steps[k + 1][0] == k + 1 and steps[k + 1][3] is not None
-                   and len(steps[k + 1][4]) == 1 for k in range(len(steps) - 1))
-        # A multiplicity's terms share one program: theta(5)'s 66 narrow to
-        # 6, 12 and 18 columns, and the three of m_(2,1,0,-3)(0) to one.
+        assert [(depth, variable + 1, len(holds)) for depth, variable, _, holds, _ in steps] == [
+            (0, 1, 2), (1, 2, 2), (0, 2, 1), (1, 1, 1), (0, 3, 1), (1, 1, 1)]
+        # A multiplicity's terms share one program: the three nodes of w(1) in
+        # theta(5)'s hold 66, 18 and 18 of its 66 columns, each node some of
+        # its parent's, and the three of m_(2,1,0,-3)(0) narrow to one.
         _partition_of.cache_clear()
         assert multiplicity(theta(5), (0,) * 6) == 1024
         steps = _steps(programs[-1])
-        assert len(steps) == 15 and len(steps[0][4]) == 66
-        assert {len(holds) for _, _, _, keep, holds, _ in steps if keep is not None} == {6, 12, 18}
+        assert len(steps) == 18
+        assert [len(holds) for depth, _, _, holds, _ in steps if depth == 0] == [66, 18, 18]
+        parents = {}
+        for n, (depth, _, _, holds, _) in enumerate(steps):
+            parents[depth] = set(holds)
+            assert depth == 0 or parents[depth] <= parents[depth - 1], n
         _partition_of.cache_clear()
         assert multiplicity((2, 1, 0, -3), (0, 0, 0, 0)) == 8
         steps = _steps(programs[-1])
-        assert len(steps[0][4]) == 3
-        assert any(keep is not None and len(holds) == 1 for _, _, _, keep, holds, _ in steps)
+        assert len({j for _, _, _, holds, _ in steps for j in holds}) == 3
+        assert any(len(holds) == 1 for _, _, _, holds, _ in steps)
 
     @settings(max_examples=80, deadline=None)
     @given(_cone_vectors())
@@ -634,9 +653,10 @@ class TestCompiledStep:
             keys = sorted(next(iter(reached)))
             expanded = [_expanded(keys, tpos) for tpos in range(r - depth)]
             for tpos, (out, products) in enumerate(expanded):
-                _, _, out_keys, sources = _plan(r, depth, tpos)
+                _, _, out_keys, into = _plan(r, depth, tpos)
                 assert out_keys == tuple(sorted(out)), (depth, tpos)
-                assert sum(map(len, sources)) == products, (depth, tpos)
+                assert sum(map(len, into)) == products, (depth, tpos)
+                assert {k for src in into for k, _ in src} == set(range(len(out_keys))), (depth, tpos)
             reached = {out for out, _ in expanded}
         assert reached == {frozenset([()])}
 
@@ -648,15 +668,15 @@ class TestCompiledStep:
         assert all(len(products) == 1 for row in table.values() for products in row)
         assert [products.pop() for products in table[7]] == [1, 6, 110, 1058, 2142, 616, 16]
 
-    @pytest.mark.parametrize("r, multiply_adds", [(5, 9006), (6, 383574), (7, 20329854)])
+    @pytest.mark.parametrize("r, multiply_adds", [(5, 2886), (6, 73156), (7, 2251836)])
     def test_theta_multiply_adds(self, monkeypatch, r, multiply_adds):
-        # The products of a step times the columns it holds, summed over the
-        # program of theta(r)'s cold sum; the spy stops before the walk, which
-        # takes about 2 s for theta(7).
+        # The products of a step times its classes, the distinct exponent
+        # tuples of its columns on its prefix's variables, summed over the
+        # program of theta(r)'s cold sum; the spy stops before the walk.
         programs = []
 
         def spied(program, exponent_columns):
-            programs.append(program)
+            programs.append((program, exponent_columns))
             raise _Compiled
 
         monkeypatch.setattr(residues, "_run", spied)
@@ -665,9 +685,9 @@ class TestCompiledStep:
         with pytest.raises(_Compiled):
             multiplicity(theta(r), (0,) * (r + 1))
         _program.cache_clear()
-        (program,) = programs
-        assert sum(sum(map(len, sources)) * len(holds)
-                   for _, _, sources, _, holds, _ in _steps(program)) == multiply_adds
+        ((program, columns),) = programs
+        products = [sum(map(len, into)) for _, _, into, _, _ in _steps(program)]
+        assert sum(map(mul, products, _classes(program, columns))) == multiply_adds
 
     def test_eviction_keeps_values(self, monkeypatch):
         # A cache of 8 plans evicts on almost every step of a rank-5 or 6 walk.
@@ -742,7 +762,43 @@ def _small_batches():
     return st.integers(1, 6).flatmap(lambda r: st.lists(_small_vectors(r), min_size=1, max_size=4))
 
 
+@st.composite
+def _sharing_batches(draw):
+    """Columns of ranks 2-6 that repeat chambers and share exponent values:
+    the Kostant terms w(lambda + rho) - (mu + rho) of a small multiplicity,
+    permutations of a cone vector, and the first term again."""
+    r = draw(st.integers(2, 6))
+    lam = sorted(draw(st.lists(st.integers(0, 3 if r < 6 else 1), min_size=r + 1, max_size=r + 1)), reverse=True)
+    mu, cone = list(lam), [0] * (r + 1)
+    for _ in range(draw(st.integers(0, 3))):
+        i, j = sorted(draw(st.lists(st.integers(0, r), min_size=2, max_size=2, unique=True)))
+        mu[i], mu[j] = mu[i] - 1, mu[j] + 1
+        c = draw(st.integers(1, 4))
+        cone[i], cone[j] = cone[i] + c, cone[j] - c
+    u = [x + r - k for k, x in enumerate(lam)]
+    v = [x + r - k for k, x in enumerate(mu)]
+    terms = [tuple(u[i - 1] - y for i, y in zip(w.images, v)) for w in valid_permutations(u, v)]
+    shuffled = draw(st.lists(st.permutations(cone), max_size=4))
+    return terms + [tuple(a) for a in shuffled] + terms[:1]
+
+
 class TestChamberProgram:
+    @settings(max_examples=60, deadline=None)
+    @given(_sharing_batches())
+    def test_merged_classes_match_lone_runs(self, batch):
+        # Columns that agree on the exponents of a prefix's variables share
+        # its covector; each column's total must still be its own walk's, and
+        # in the dynamic-programming oracle's box its partition count.
+        columns = [_exponents(a) for a in batch]
+        program = _program(tuple(map(_chamber, batch)))
+        totals = _run(program, columns)
+        # The first term comes twice, so some step merges columns.
+        assert sum(_classes(program, columns)) < sum(len(holds) for _, _, _, holds, _ in _steps(program))
+        for a, total in zip(batch, totals):
+            assert _run(_program((_chamber(a),)), [_exponents(a)]) == [total], a
+            if len(a) <= 5 and max(map(abs, a)) <= 12 and in_positive_cone(a):
+                assert total == kostant_partition_bruteforce(a), a
+
     @settings(max_examples=150, deadline=None)
     @given(_small_batches())
     @example([(0, 0), (-1, 1)])
@@ -881,28 +937,29 @@ class TestBoundOnce:
             return binomials(e, top)
 
         monkeypatch.setattr(residues, "_binomials", spied)
-        monkeypatch.setattr(residues, "_binomial_rows", None)
         assert _run(program, [_exponents(a)]) == [kostant_partition_bruteforce(a)] == [610]
-        assert len(_steps(program)) == 44
+        assert len(_steps(program)) == 39
         assert sorted(calls) == sorted(_exponents(a))  # one call per variable, 5 in all
 
     def test_rows_bind_each_variable_once(self, monkeypatch):
+        # A batch binds one list per variable and distinct exponent: its three
+        # columns have 15 exponents, 12 of them distinct per variable.
         batch = [(2, 1, 1, -1, -1, -2), (3, 1, -1, 2, -2, -3), (1, 2, -1, 1, -2, -1)]
         program = _program(tuple(map(_chamber, batch)))
         calls = []
-        binomial_rows = residues._binomial_rows
+        binomials = residues._binomials
 
-        def spied(e_t, top):
-            calls.append(tuple(e_t))
-            return binomial_rows(e_t, top)
+        def spied(e, top):
+            calls.append(e)
+            return binomials(e, top)
 
-        monkeypatch.setattr(residues, "_binomial_rows", spied)
-        monkeypatch.setattr(residues, "_binomials", None)
+        monkeypatch.setattr(residues, "_binomials", spied)
         columns = [_exponents(a) for a in batch]
         assert _run(program, columns) == [kostant_partition_bruteforce(a) for a in batch] == [610, 1291, 80]
         steps = _steps(program)
-        assert len(steps) > 5 and any(len(holds) < 3 for _, _, _, _, holds, _ in steps)
-        assert calls == list(zip(*columns))  # one row set per variable, 5 in all
+        assert len(steps) > 5 and any(len(holds) < 3 for _, _, _, holds, _ in steps)
+        assert sorted(calls) == sorted(e for exponents in zip(*columns) for e in set(exponents))
+        assert len(calls) == 12
 
 
 class TestOrderBudget:
