@@ -36,7 +36,9 @@ Along the ray N -> (N*lambda, N*mu) the weights meet the root lattice at the
 multiples of a step s (the denominator of the last entry of lambda - mu, or
 of lambda + mu - nu), and there the counts agree with a polynomial of degree
 at most r(r-1)/2; the polynomial is recovered by exact interpolation on
-N = s, 2s, ..., (d+1)s and verified at (d+2)s and (d+3)s.
+N = s, 2s, ..., (d+1)s and verified at (d+2)s and (d+3)s.  The same
+translation lifts a ray once: s times the translated weights are ints, and
+the sample at N = ks is one public call on k times those ints.
 """
 
 from __future__ import annotations
@@ -208,6 +210,12 @@ def _ray_fit(counter, degree: int, step: int) -> Union[RayPolynomial, RayFitFail
     return poly
 
 
+def _lift(weight: Sequence[Exact], shift: Exact, step: int) -> Tuple[int, ...]:
+    """step * (weight - shift*(1, ..., 1)) as ints: each entry of weight - shift
+    has a denominator that divides step, so every product is integral."""
+    return tuple(_exact(step * (x - shift)) for x in weight)
+
+
 def multiplicity_polynomial(lam, mu: Sequence):
     """Polynomial N -> multiplicity of N*mu in V(N*lam), degree <= r(r-1)/2.
 
@@ -221,11 +229,14 @@ def multiplicity_polynomial(lam, mu: Sequence):
     lam, mu = weight_pair(lam, mu)
     r = lam.rank
     degree = r * (r - 1) // 2
+    shift, step = lam.canonical[-1], (lam.canonical[-1] - mu[-1]).denominator
+    lam_lift, mu_lift = _lift(lam.canonical, shift, step), _lift(mu, shift, step)
 
     def counter(n: int) -> int:
-        return multiplicity(lam.scaled(n), tuple(n * x for x in mu))
+        k = n // step
+        return multiplicity(tuple(k * x for x in lam_lift), tuple(k * x for x in mu_lift))
 
-    return _ray_fit(counter, degree, (lam.canonical[-1] - mu[-1]).denominator)
+    return _ray_fit(counter, degree, step)
 
 
 def tensor_polynomial(lam, mu, nu):
@@ -234,8 +245,13 @@ def tensor_polynomial(lam, mu, nu):
     r = lam.rank
     degree = r * (r - 1) // 2
 
-    def counter(n: int) -> int:
-        return tensor_product(lam.scaled(n), mu.scaled(n), nu.scaled(n))
+    shift1, shift2 = lam.canonical[-1], mu.canonical[-1]
+    step = (shift1 + shift2 - nu.canonical[-1]).denominator
+    lifts = (_lift(lam.canonical, shift1, step), _lift(mu.canonical, shift2, step),
+             _lift(nu.canonical, shift1 + shift2, step))
 
-    step = (lam.canonical[-1] + mu.canonical[-1] - nu.canonical[-1]).denominator
+    def counter(n: int) -> int:
+        k = n // step
+        return tensor_product(*(tuple(k * x for x in v) for v in lifts))
+
     return _ray_fit(counter, degree, step)

@@ -31,17 +31,28 @@ columns, flattened depth first.  The fresh vectors of one rank run the
 program of their chamber sequence, compiled once per sequence from one
 order search per distinct chamber, and a run binds each variable's
 binomials once.
+
+The diagram automorphism of A_r keeps every count: P(a) = P(flip(a)) with
+flip(a) = (-a_{r+1}, ..., -a_1).  A fresh vector a is counted as flip(a)
+exactly when a_1 + a_{r+1} > 0, the case in which the flip's chamber has at
+least as many non-negative subset sums; a single comparison, about half
+the orders, and no second search.  Each step's products P(r, depth) have a
+closed form, so a walk's multiply-adds are known from the orders' prefix
+tree before any plan is built, and a walk past WORK_LIMIT is refused with
+BudgetExceeded; a lone vector refused on one side of the flip tries the
+other first.
 """
 
 from __future__ import annotations
 
-from collections import OrderedDict, namedtuple
+from collections import Counter, OrderedDict, namedtuple
 from functools import lru_cache
 from itertools import accumulate
-from operator import add, itemgetter, mul
+from math import comb
+from operator import add
 from typing import List, Sequence, Tuple
 
-from .permsearch import _bounded
+from .permsearch import BudgetExceeded, _bounded
 from .permutations import Permutation
 from .vectors import ValidationError, int_entries, root_vector, scaled_ints, subset_sums
 
@@ -139,6 +150,51 @@ def _plan(r: int, depth: int, tpos: int):
             tuple(tuple((index[e], m0) for e, m0 in row) for row in rows))
 
 
+@lru_cache(maxsize=None)
+def _products(r: int, depth: int) -> int:
+    """P(r, depth), the multiply-adds of one residue step at that depth, from
+    its key set alone, never from a plan.  After d residues the key set is
+    every tuple of n = r - d exponents that are each at most -(d + 1) and
+    sum to at least -(d + 1) n - B, with B = d(d - 1)/2: the sum starts at
+    -r and a step at depth i lowers it by at most r - 2 - i.  Sliding down
+    its exponent by f >= 0, a key's eliminated entry has pole order d + 1 +
+    f and takes C(d + f + n - 1, n - 1) products, and C(B - f + n - 1, n - 1)
+    keys of the other n - 1 entries leave room for f."""
+    n, room = r - depth, depth * (depth - 1) // 2
+    return sum(comb(depth + f + n - 1, n - 1) * comb(room - f + n - 1, n - 1) for f in range(room + 1))
+
+
+def _work(r: int, paths) -> int:
+    """The multiply-adds of a walk: the sum over the distinct prefixes of
+    length 1 to max(r - 1, 1) of the paths of P(r, r - length).  A path is
+    an order's images w(1), w(2), ..., and a prefix of length k + 1 is a
+    node of the prefix tree, the residue step at depth r - 1 - k; to count a
+    batch's classes exactly, a path pairs each image with its column's
+    exponent, so the columns that agree on a node's exponents count once."""
+    full = max(r - 1, 1)
+    return sum(_products(r, r - len(p)) for p in {path[:k] for path in paths for k in range(1, full + 1)})
+
+
+# The most multiply-adds one walk may take, counted after the order search and
+# before any plan is built.  The largest that answers in the tests, the
+# acceptance cases and the benchmark is theta(7)'s sum, 2,251,836 (its column
+# bound reads 26.3M); the rank-8 vector 198,176,-22,37,-20,-18,-87,-116,-148
+# takes 7,063,876 on its flip side, about 1.2 s.  The rank-9 partition
+# counts of 118,108,115,44,-6,-6,54,-68,-83,-276 (107.0M) and of
+# 179,255,4,114,32,-52,-193,-95,-164,-80 (211.7M on its flip side) are refused.
+WORK_LIMIT = 10_000_000
+
+
+class _Costly(BudgetExceeded):
+    """A walk past WORK_LIMIT, with the searched orders of its columns, so that
+    a batch whose column bound passes can count its classes exactly."""
+
+    def __init__(self, work: int, columns: list):
+        super().__init__(f"a residue walk of {work} multiply-adds passes the limit of {WORK_LIMIT}; "
+                         "the query is too large")
+        self.columns = columns
+
+
 def _binomials(e: int, top: int) -> List[int]:
     """C(e, m) for m < top: C(e, m-1) (e-m+1) / m, exact for any e."""
     b = [1]
@@ -205,9 +261,21 @@ def _program(chambers: Tuple[bytes, ...]) -> tuple:
     once per chamber sequence, which searches each of its distinct chambers
     once.  Its plans depend on the rank and the order prefixes alone, so it
     serves any vectors of those chambers: a lone vector runs its chamber's
-    1-tuple, and the samples of a ray share a few programs."""
+    1-tuple, and the samples of a ray share a few programs.
+
+    Before it compiles, it prices the walk.  An order takes at most one
+    step per depth, so unless its orders times the price of one order pass
+    WORK_LIMIT, the walk fits.  Otherwise it counts the column bound, each
+    node's P(r, depth) times the columns that pass through it, and raises
+    _Costly past WORK_LIMIT: exact for one column, an upper bound for more."""
     orders = {chamber: _special_orders(chamber) for chamber in dict.fromkeys(chambers)}
-    return _compile([orders[chamber] for chamber in chambers])
+    r = len(chambers[0]).bit_length() - 1
+    columns = [orders[chamber] for chamber in chambers]
+    if sum(map(len, columns)) * _work(r, [tuple(range(r))]) > WORK_LIMIT:
+        bound = sum(n * _work(r, [images for images, _ in orders[chamber]]) for chamber, n in Counter(chambers).items())
+        if bound > WORK_LIMIT:
+            raise _Costly(bound, columns)
+    return _compile(columns)
 
 
 def _run(program: tuple, exponent_columns: Sequence[Sequence[int]]) -> List[int]:
@@ -327,15 +395,47 @@ class _Memo(OrderedDict):
 _partition_of = _Memo(1 << 15)
 
 
+def _flip(a: Tuple[int, ...]) -> Tuple[int, ...]:
+    """The diagram flip (-a_{r+1}, ..., -a_1).  It maps the root e_i - e_j to
+    e_{r+2-j} - e_{r+2-i}, so a and its flip have one partition count."""
+    return tuple(-x for x in reversed(a))
+
+
+def _walk(sides: List[Tuple[int, ...]]) -> List[int]:
+    """The residue sums of in-cone vectors of one rank, by one run of the
+    program of their chambers.  When its column bound passes WORK_LIMIT, a
+    batch counts its classes exactly and runs an uncached program if they
+    fit; a lone vector's bound is exact, and it is refused."""
+    chambers, columns = tuple(map(_chamber, sides)), [_exponents(a) for a in sides]
+    try:
+        program = _program(chambers)
+    except _Costly as costly:
+        if len(sides) == 1:
+            raise
+        work = _work(len(sides[0]) - 1, [tuple((t, e[t - 1]) for t in images)
+                                         for orders, e in zip(costly.columns, columns) for images, _ in orders])
+        if work > WORK_LIMIT:
+            raise _Costly(work, costly.columns) from None
+        program = _compile(costly.columns)
+    return _run(program, columns)
+
+
 def _counts(keys: Sequence[Tuple[int, ...]]) -> List[int]:
     """Partition counts of zero-sum int tuples, in input order, unchecked:
     the arguments the engine builds itself are such tuples already.
 
-    Repeats and earlier results come from the memo, and a vector outside the
-    cone counts zero.  The fresh vectors of each rank run the one program of
-    their sequence of chambers, compiled once per sequence.  An in-cone
-    vector above the rank limit of subset_sums raises rank-too-large before
-    its chamber key is built.
+    Repeats and earlier results come from the memo, keyed by the caller's
+    vectors, and a vector outside the cone counts zero.  Each fresh in-cone
+    vector a is counted as its flip when a_1 + a_{r+1} > 0, where the flip's
+    chamber has at least as many non-negative subset sums: both count the
+    subsets that hold 1 but not r + 1, and each subset of {2, ..., r} that a
+    counts comes back for the flip with 1 and r + 1 added, its sum raised by
+    a_1 + a_{r+1}.  Its orders are then about half as many.  The vectors of
+    each rank run the one program of their sequence of chambers, compiled
+    once per sequence.  A lone vector refused by the order search or by
+    WORK_LIMIT on that side tries the other before it is refused.  An
+    in-cone vector above the rank limit of subset_sums raises rank-too-large
+    before its chamber key is built.
     """
     memo = _partition_of
     fresh = {}
@@ -349,8 +449,13 @@ def _counts(keys: Sequence[Tuple[int, ...]]) -> List[int]:
         if min(accumulate(a)) >= 0:  # in the cone
             by_rank.setdefault(len(a), []).append(a)
     for batch in by_rank.values():
-        program = _program(tuple(map(_chamber, batch)))
-        fresh.update(zip(batch, _run(program, [_exponents(a) for a in batch])))
+        sides = [_flip(a) if a[0] + a[-1] > 0 else a for a in batch]
+        try:
+            fresh.update(zip(batch, _walk(sides)))
+        except BudgetExceeded:
+            if len(batch) > 1 or _flip(sides[0]) == sides[0]:
+                raise
+            fresh.update(zip(batch, _walk([_flip(sides[0])])))
     memo.misses += len(fresh)
     memo.hits += len(keys) - len(fresh)
     out = [fresh[a] if a in fresh else memo[a] for a in keys]

@@ -610,6 +610,38 @@ class TestSearchBudget:
         assert rows[1]["value"] == "2"
         assert exit_code == EXIT_RESOURCE
 
+    # Each is refused on both sides of its diagram flip: the first two walk
+    # 107.0M and 53.3M multiply-adds on their own side, past residues.WORK_LIMIT,
+    # and the last 211.7M on its flip side, while its own side's order search
+    # passes permsearch.FRONTIER_LIMIT.
+    @pytest.mark.parametrize("vector", ["118,108,115,44,-6,-6,54,-68,-83,-276",
+                                        "46,-6,224,41,70,27,108,-46,-252,-212",
+                                        "179,255,4,114,32,-52,-193,-95,-164,-80"])
+    def test_rank_nine_partition_count_past_a_limit_fails_fast(self, capsys, vector):
+        import time
+
+        started = time.perf_counter()
+        code, out, err = run_cli(capsys, "kostant", "--rank", "9", vector)
+        assert time.perf_counter() - started < 1.0
+        assert (code, out, json.loads(err)["error"]) == (EXIT_RESOURCE, "", "budget-exceeded")
+
+    def test_batch_walk_past_the_work_limit_carries_its_line(self, capsys, monkeypatch):
+        import io
+
+        from kostant import residues
+
+        # Both sides of 3,-3,2,-1,-1 walk more than 30 multiply-adds (64 and 40).
+        monkeypatch.setattr(residues, "WORK_LIMIT", 30)
+        monkeypatch.setattr(residues, "_partition_of", residues._Memo(1 << 15))
+        residues._program.cache_clear()  # a cached program was priced under the old limit
+        records = [{"command": "kostant", "rank": 4, "vector": "3,-3,2,-1,-1"},
+                   {"command": "kostant", "rank": 2, "vector": "1,0,-1"}]
+        monkeypatch.setattr("sys.stdin", io.StringIO("\n".join(map(json.dumps, records)) + "\n"))
+        exit_code, out, _ = run_cli(capsys, "batch")
+        rows = [json.loads(line) for line in out.strip().splitlines()]
+        assert (rows[0]["error"], rows[0]["line"], rows[1]["value"]) == ("budget-exceeded", 1, "2")
+        assert exit_code == EXIT_RESOURCE
+
     # Its Brauer-Klimyk sum has 22068 terms, past formulas.TERM_LIMIT.
     WIDE_TENSOR = ["--rank", "7", "--basis", "fundamental", "--lambda", "3,3,3,3,3,3,3",
                    "--mu", "3,3,3,3,3,3,3", "--nu", "2,2,2,2,2,2,2"]

@@ -33,7 +33,7 @@ from kostant.residues import (
     partition_total,
     special_permutations,
 )
-from kostant.vectors import DominantWeight, ValidationError, deform, in_positive_cone, is_regular, theta
+from kostant.vectors import DominantWeight, ValidationError, deform, in_positive_cone, is_regular, subset_sums, theta
 
 
 def _steps(program):
@@ -666,20 +666,30 @@ class TestCompiledStep:
         table = {r: [{sum(map(len, _plan(r, d, tpos)[3])) for tpos in range(r - d)} for d in range(r)]
                  for r in range(2, 8)}
         assert all(len(products) == 1 for row in table.values() for products in row)
+        # The closed form counts them from the key sets alone, without a plan.
+        assert table == {r: [{residues._products(r, d)} for d in range(r)] for r in table}
         assert [products.pop() for products in table[7]] == [1, 6, 110, 1058, 2142, 616, 16]
+        assert [residues._products(9, d) for d in range(9)] == [1, 8, 280, 7756, 68827, 139568, 55896, 3795, 29]
 
     @pytest.mark.parametrize("r, multiply_adds", [(5, 2886), (6, 73156), (7, 2251836)])
     def test_theta_multiply_adds(self, monkeypatch, r, multiply_adds):
         # The products of a step times its classes, the distinct exponent
         # tuples of its columns on its prefix's variables, summed over the
-        # program of theta(r)'s cold sum; the spy stops before the walk.
-        programs = []
+        # program of theta(r)'s cold sum; the spy stops before the walk.  No
+        # theta argument is flipped.  The engine counts the same work from
+        # the orders and the exponents before it compiles, and first reads
+        # the column bound, which counts each column apart: only theta(7)'s
+        # passes WORK_LIMIT, and its classes fit.
+        bound = {5: 9570, 6: 442182, 7: 26279904}[r]
+        programs, compiled = [], []
+        compile_ = residues._compile
 
         def spied(program, exponent_columns):
             programs.append((program, exponent_columns))
             raise _Compiled
 
         monkeypatch.setattr(residues, "_run", spied)
+        monkeypatch.setattr(residues, "_compile", lambda columns: compiled.append(columns) or compile_(columns))
         _partition_of.cache_clear()
         _program.cache_clear()
         with pytest.raises(_Compiled):
@@ -688,6 +698,11 @@ class TestCompiledStep:
         ((program, columns),) = programs
         products = [sum(map(len, into)) for _, _, into, _, _ in _steps(program)]
         assert sum(map(mul, products, _classes(program, columns))) == multiply_adds
+        (orders,) = compiled
+        paths = [tuple((t, e[t - 1]) for t in images) for held, e in zip(orders, columns) for images, _ in held]
+        assert residues._work(r, paths) == multiply_adds
+        assert sum(residues._work(r, [images for images, _ in held]) for held in orders) == bound
+        assert (bound > residues.WORK_LIMIT) == (r == 7)
 
     def test_eviction_keeps_values(self, monkeypatch):
         # A cache of 8 plans evicts on almost every step of a rank-5 or 6 walk.
@@ -996,6 +1011,180 @@ class TestOrderBudget:
         _partition_of.cache_clear()
         monkeypatch.setattr(permsearch, "FRONTIER_LIMIT", peak)
         assert kostant_partition(a) == 80
+
+
+def _rule_side(a):
+    """The side the engine counts: the flip of a when a_1 + a_{r+1} > 0."""
+    return residues._flip(a) if a[0] + a[-1] > 0 else a
+
+
+def _random_cone_vector(r, rng):
+    """3r random positive roots with multiplicities 1-50, as the benchmark's
+    cone_vector(r, 3 * r, 50, rng) draws them."""
+    a = [0] * (r + 1)
+    for _ in range(3 * r):
+        i, j = sorted(rng.sample(range(r + 1), 2))
+        k = rng.randint(1, 50)
+        a[i] += k
+        a[j] -= k
+    return tuple(a)
+
+
+@st.composite
+def _root_sums(draw, ranks, big):
+    """Zero-sum vectors of the given ranks made of 1 to 3r random positive
+    roots, each with a multiplicity of at most `big`: in the cone."""
+    r = draw(st.sampled_from(ranks))
+    a = [0] * (r + 1)
+    for _ in range(draw(st.integers(1, 3 * r))):
+        i, j = sorted(draw(st.lists(st.integers(0, r), min_size=2, max_size=2, unique=True)))
+        k = draw(st.integers(1, big))
+        a[i] += k
+        a[j] -= k
+    return tuple(a)
+
+
+class TestFlip:
+    """The diagram flip (-a_{r+1}, ..., -a_1) keeps the partition count, and a
+    fresh vector is counted on its flip exactly when a_1 + a_{r+1} > 0."""
+
+    @settings(max_examples=80, deadline=None)
+    @given(_cone_vectors().filter(lambda a: len(a) <= 5))
+    def test_both_sides_match_the_dp_oracle(self, a):
+        expected = kostant_partition_bruteforce(a)
+        flipped = residues._flip(a)
+        assert in_positive_cone(flipped)
+        assert partition_total(a, a) == partition_total(flipped, flipped) == expected, a
+        _partition_of.cache_clear()
+        assert kostant_partition(a) == kostant_partition_bruteforce(flipped) == expected, a
+
+    @settings(max_examples=30, deadline=None)
+    @given(_root_sums((5, 6), 50))
+    def test_the_engine_agrees_with_itself_on_both_sides(self, a):
+        flipped = residues._flip(a)
+        _partition_of.cache_clear()
+        assert partition_total(a, a) == partition_total(flipped, flipped) == kostant_partition(a), a
+
+    @given(st.integers(1, 7).flatmap(lambda r: st.lists(st.integers(-20, 20), min_size=r, max_size=r)))
+    def test_the_rule_reads_which_chamber_has_more_non_negative_subset_sums(self, head):
+        # Both chambers count the subsets that hold 1 but not r + 1; each
+        # subset S of {2, ..., r} that a counts when a_S >= 0 comes back for
+        # the flip with 1 and r + 1 added, counted when a_S >= -(a_1 + a_{r+1}).
+        a = tuple(head) + (-sum(head),)
+        shift = a[0] + a[-1]
+        middle = subset_sums(a[1:])  # the sums of the subsets of {2, ..., r}, and a_{r+1}'s place is last
+        more = sum(s >= -shift for s in middle) - sum(s >= 0 for s in middle)
+        assert sum(_chamber(residues._flip(a))) - sum(_chamber(a)) == more
+        assert (more > 0) <= (shift > 0) and (more < 0) <= (shift < 0) and (shift == 0) <= (more == 0)
+
+    @pytest.mark.parametrize("r, orders, counted", [(5, 738, 419), (6, 2526, 1408)])
+    def test_the_rule_halves_the_orders_of_random_cone_vectors(self, monkeypatch, r, orders, counted):
+        # 40 vectors per rank from random.Random(7): the orders the engine
+        # compiles for each, against the orders of the vectors themselves.
+        rng = random.Random(7)
+        vectors = [_random_cone_vector(r, rng) for _ in range(40)]
+        assert sum(len(_special_orders(_chamber(a))) for a in vectors) == orders
+        expected = [partition_total(a, a) for a in vectors]
+        compiled = []
+        compile_ = residues._compile
+        monkeypatch.setattr(residues, "_compile", lambda columns: compiled.append(columns) or compile_(columns))
+        for a, value in zip(vectors, expected):
+            _partition_of.cache_clear()
+            _program.cache_clear()
+            assert partition_counts([a]) == [value]
+        assert sum(len(orders) for (orders,) in compiled) == counted
+        assert sum(len(_special_orders(_chamber(_rule_side(a)))) for a in vectors) == counted
+
+    def test_a_repeated_caller_vector_is_a_memo_hit(self):
+        a = (3, -3, 2, -1, -1)  # a_1 + a_5 > 0: counted as (1, 1, -2, 3, -3)
+        _partition_of.cache_clear()
+        assert partition_counts([a, a]) == [kostant_partition_bruteforce(a)] * 2
+        assert list(_partition_of) == [a]
+        assert kostant_partition(a) == kostant_partition_bruteforce(a)
+        assert tuple(_partition_of.cache_info())[:2] == (2, 1)
+        _partition_of.cache_clear()
+        flipped = residues._flip(a)
+        assert partition_counts([flipped]) == partition_counts([a])  # each a miss of its own key
+        assert _partition_of.cache_info()[:2] == (0, 2)
+
+
+class TestWorkLimit:
+    """A walk's multiply-adds are counted after the order search and before
+    any plan is built, and a walk past residues.WORK_LIMIT is refused.  The
+    counts here come from the count, never from a run; the limits are
+    lowered, never reached."""
+
+    @staticmethod
+    def lone_work(a):
+        return residues._work(len(a) - 1, [images for images, _ in _special_orders(_chamber(a))])
+
+    @pytest.mark.parametrize("a, own, flipped", [
+        ((118, 108, 115, 44, -6, -6, 54, -68, -83, -276), 107040807, None),
+        ((46, -6, 224, 41, 70, 27, 108, -46, -252, -212), 53333083, None),
+        ((198, 176, -22, 37, -20, -18, -87, -116, -148), 9282347, 7063876),
+        ((179, 255, 4, 114, 32, -52, -193, -95, -164, -80), None, 211715812),
+    ])
+    def test_lone_walks_are_priced_before_they_run(self, monkeypatch, a, own, flipped):
+        def refused(*args):
+            raise AssertionError("pricing a walk built a plan")
+
+        monkeypatch.setattr(residues, "_plan", refused)
+        for side, work in ((a, own), (residues._flip(a), flipped)):
+            if work is not None:
+                assert self.lone_work(side) == work, side
+        # The rule keeps the rank-9 vectors of 107.0M and 53.3M on a, and
+        # sends the rank-8 one and the last to their flips.
+        assert (_rule_side(a) == a) == (flipped is None)
+
+    def test_the_rule_side_past_a_limit_falls_back_to_the_other(self, monkeypatch):
+        # Each vector's rule side costs more than its other side, in work
+        # (64 against 40) or in the search's frontier (9 against 7, 13 against 10).
+        cases = [((3, -3, 2, -1, -1), "WORK_LIMIT", 63), ((1, 2, -3, 2, -2), "WORK_LIMIT", 63),
+                 ((2, 2, -4, 0, 0), "FRONTIER_LIMIT", 8), ((0, 1, 2, -3, 0), "FRONTIER_LIMIT", 12)]
+        for a, limit, value in cases:
+            other = residues._flip(_rule_side(a))
+            with monkeypatch.context() as m:
+                m.setattr(residues if limit == "WORK_LIMIT" else permsearch, limit, value)
+                _program.cache_clear()
+                with pytest.raises(BudgetExceeded):
+                    partition_total(_rule_side(a), _rule_side(a))
+                _partition_of.cache_clear()
+                assert kostant_partition(a) == kostant_partition_bruteforce(a), a
+                assert _program.cache_info().currsize == 1
+                _program((_chamber(other),))
+                assert _program.cache_info().hits == 1, a
+
+    @pytest.mark.parametrize("limit, value", [("WORK_LIMIT", 0), ("FRONTIER_LIMIT", 1)])
+    def test_both_sides_refused_is_budget_exceeded_and_not_cached(self, monkeypatch, limit, value):
+        a = (3, -3, 2, -1, -1)
+        _partition_of.cache_clear()
+        _program.cache_clear()
+        with monkeypatch.context() as m:
+            m.setattr(residues if limit == "WORK_LIMIT" else permsearch, limit, value)
+            for call in (kostant_partition, lambda a: partition_counts([a, (2, 0, -2)])):
+                with pytest.raises(BudgetExceeded) as err:
+                    call(a)
+                assert err.value.code == "budget-exceeded"
+            assert len(_partition_of) == 0 and _program.cache_info().currsize == 0
+        assert kostant_partition(a) == kostant_partition_bruteforce(a)
+
+    def test_a_batch_counts_its_classes_once_its_column_bound_passes(self, monkeypatch):
+        # theta(4)'s 16 terms: 176 multiply-adds, a column bound of 340.
+        compiled = []
+        compile_ = residues._compile
+        monkeypatch.setattr(residues, "_compile", lambda columns: compiled.append(len(columns)) or compile_(columns))
+        for limit, cached in ((340, 1), (176, 0)):
+            monkeypatch.setattr(residues, "WORK_LIMIT", limit)
+            _partition_of.cache_clear()
+            _program.cache_clear()
+            assert multiplicity(theta(4), (0,) * 5) == 64
+            assert _program.cache_info().currsize == cached
+        assert compiled == [16, 16]
+        monkeypatch.setattr(residues, "WORK_LIMIT", 175)
+        _partition_of.cache_clear()
+        with pytest.raises(BudgetExceeded, match="176 multiply-adds"):
+            multiplicity(theta(4), (0,) * 5)
+        assert len(_partition_of) == 0
 
 
 class TestRankLimit:
