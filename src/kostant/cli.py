@@ -27,12 +27,12 @@ that meets the root lattice only at the multiples of a step s > 1 gets
 ";step=s" appended ("1,7/4,9/8,3/8;step=2"): the polynomial gives the values
 at N = s, 2s, ... and every other N has value 0.  A ray whose counts fit no
 polynomial prints "fit-failed[<reason>]:<values>".
-Exit codes: 0 success, 2 invalid input, 3 oracle disagreement,
-4 resource exhaustion (budget-exceeded for a search past its frontier
-limit or a sum past its term limit), 5 an internal error.  Single commands
-and batch records map failures to the same codes (_failure): a single
-command prints the error as one JSON line on stderr, a batch record gets it
-as its result line and the stream goes on.  Every batch error carries
+Exit codes: 0 success, 2 invalid input, 3 oracle disagreement, 4 resource
+exhaustion (budget-exceeded for a search past its frontier limit, a sum past
+its term limit or a residue walk past its work limit), 5 an internal error.
+Single commands and batch records map failures to the same codes (_failure):
+a single command prints the error as one JSON line on stderr, a batch record
+gets it as its result line and the stream goes on.  Every batch error carries
 "line", the 1-based number of its stdin line, blank lines included.
 """
 

@@ -43,8 +43,9 @@ FRONTIER_LIMIT = 16384
 
 class BudgetExceeded(RuntimeError):
     """A query refused past a cost limit, tagged with its code: a search past
-    FRONTIER_LIMIT prefixes, a couple list past FRONTIER_LIMIT couples, or a
-    sum past formulas.TERM_LIMIT terms."""
+    FRONTIER_LIMIT prefixes, a couple list past FRONTIER_LIMIT couples, a
+    sum past formulas.TERM_LIMIT terms, or a residue walk past
+    residues.WORK_LIMIT multiply-adds."""
 
     code = "budget-exceeded"
 

@@ -37,20 +37,21 @@ flip(a) = (-a_{r+1}, ..., -a_1).  A fresh vector a is counted as flip(a)
 exactly when a_1 + a_{r+1} > 0, the case in which the flip's chamber has at
 least as many non-negative subset sums; a single comparison, about half
 the orders, and no second search.  Each step's products P(r, depth) have a
-closed form, so a walk's multiply-adds are known from the orders' prefix
-tree before any plan is built, and a walk past WORK_LIMIT is refused with
-BudgetExceeded; a lone vector refused on one side of the flip tries the
-other first.
+closed form, so the compiler prices every walk from its prefix tree before
+it binds a plan: P times the columns each step holds, or, for a batch past
+WORK_LIMIT on that bound, its classes.  A walk past WORK_LIMIT is refused
+with BudgetExceeded; a lone vector refused on one side of the flip tries
+the other first.
 """
 
 from __future__ import annotations
 
-from collections import Counter, OrderedDict, namedtuple
+from collections import OrderedDict, namedtuple
 from functools import lru_cache
 from itertools import accumulate
 from math import comb
 from operator import add
-from typing import List, Sequence, Tuple
+from typing import List, Optional, Sequence, Tuple
 
 from .permsearch import BudgetExceeded, _bounded
 from .permutations import Permutation
@@ -129,25 +130,23 @@ def _plan(r: int, depth: int, tpos: int):
     the one in the active variable at position `tpos`: which exponent tuples
     come out, and from what.
 
-    Returns (sign, top, out_keys, into): into[i] lists the (k, m_0) such that
-    coefficient i of the step's input, times sign * C(e_t, m_0), adds to
-    coefficient k of its output, whose exponent tuples are out_keys.  Every
-    m_0 is below top.  The sign is -1 when an odd number of the active
-    variables lie above the eliminated one.  Nothing here depends on the
-    exponents e_t.  The root (-1, ..., -1) is symmetric in the variables and
-    so is a step, so every elimination prefix of a depth gives one key set;
-    sorted, it is the layout of every state at that depth, and a step at
-    `depth` reads the out_keys of _plan(r, depth - 1, 0).
+    Returns (out_keys, into): into[i] lists the (k, m_0) such that
+    coefficient i of the step's input, times C(e_t, m_0), adds to
+    coefficient k of its output, whose exponent tuples are out_keys.
+    Nothing here depends on the exponents e_t.  The root (-1, ..., -1) is
+    symmetric in the variables and so is a step, so every elimination prefix
+    of a depth gives one key set; sorted, it is the layout of every state at
+    that depth, and a step at `depth` reads the out_keys of
+    _plan(r, depth - 1, 0).
     """
-    keys = _plan(r, depth - 1, 0)[2] if depth else ((-1,) * r,)
+    keys = _plan(r, depth - 1, 0)[0] if depth else ((-1,) * r,)
     others, rows = r - depth - 1, []
     for exps in keys:
         base = exps[:tpos] + exps[tpos + 1:]
         rows.append([(tuple(map(add, base, shift)), m0) for m0, shift in _shifts(-exps[tpos] - 1, others)])
     out_keys = sorted({e for row in rows for e, _ in row})
     index = dict(zip(out_keys, range(len(out_keys))))
-    return (-1 if (others - tpos) % 2 else 1, -min(exps[tpos] for exps in keys), tuple(out_keys),
-            tuple(tuple((index[e], m0) for e, m0 in row) for row in rows))
+    return tuple(out_keys), tuple(tuple((index[e], m0) for e, m0 in row) for row in rows)
 
 
 @lru_cache(maxsize=None)
@@ -164,24 +163,14 @@ def _products(r: int, depth: int) -> int:
     return sum(comb(depth + f + n - 1, n - 1) * comb(room - f + n - 1, n - 1) for f in range(room + 1))
 
 
-def _work(r: int, paths) -> int:
-    """The multiply-adds of a walk: the sum over the distinct prefixes of
-    length 1 to max(r - 1, 1) of the paths of P(r, r - length).  A path is
-    an order's images w(1), w(2), ..., and a prefix of length k + 1 is a
-    node of the prefix tree, the residue step at depth r - 1 - k; to count a
-    batch's classes exactly, a path pairs each image with its column's
-    exponent, so the columns that agree on a node's exponents count once."""
-    full = max(r - 1, 1)
-    return sum(_products(r, r - len(p)) for p in {path[:k] for path in paths for k in range(1, full + 1)})
-
-
-# The most multiply-adds one walk may take, counted after the order search and
-# before any plan is built.  The largest that answers in the tests, the
-# acceptance cases and the benchmark is theta(7)'s sum, 2,251,836 (its column
-# bound reads 26.3M); the rank-8 vector 198,176,-22,37,-20,-18,-87,-116,-148
-# takes 7,063,876 on its flip side, about 1.2 s.  The rank-9 partition
-# counts of 118,108,115,44,-6,-6,54,-68,-83,-276 (107.0M) and of
-# 179,255,4,114,32,-52,-193,-95,-164,-80 (211.7M on its flip side) are refused.
+# The most multiply-adds one walk may take, as _compile counts them.  The
+# largest that answers in the tests, the acceptance cases and the benchmark
+# is theta(7)'s sum, 2,251,836 by its classes (26.3M by its column bound);
+# the rank-8 vector 198,176,-22,37,-20,-18,-87,-116,-148 takes 7,063,876 on
+# its flip side, about 1.2 s.  The rank-9 partition counts of
+# 118,108,115,44,-6,-6,54,-68,-83,-276 (107.0M) and of
+# 179,255,4,114,32,-52,-193,-95,-164,-80 (211.7M on its flip side) and the
+# rank-12 identity order's residue (300.7M) are refused.
 WORK_LIMIT = 10_000_000
 
 
@@ -203,10 +192,11 @@ def _binomials(e: int, top: int) -> List[int]:
     return b
 
 
-def _compile(columns: Sequence[Sequence[Tuple[Tuple[int, ...], int]]]) -> tuple:
+def _compile(columns: Sequence[Sequence[Tuple[Tuple[int, ...], int]]],
+             exponent_columns: Optional[Sequence[Sequence[int]]] = None) -> tuple:
     """The walk of the prefix tree of the images w(1), w(2), ... of weighted
-    orders over exponent columns, flattened depth first; it never reads the
-    exponents.
+    orders over exponent columns, flattened depth first and priced before
+    any plan is bound.
 
     columns[j] lists the (w.images, sign) of column j's orders, as
     _special_orders gives them, and may be empty.  Returns (steps, tops),
@@ -216,14 +206,22 @@ def _compile(columns: Sequence[Sequence[Tuple[Tuple[int, ...], int]]]) -> tuple:
     depth k before it, left at depth k, takes the transposed residue in
     variable variables[n] + 1 = w(k+1) by its plan's into[n] for the
     columns holds[n] whose orders pass through it, and leaves its state at
-    depth k + 1.  The step of w(k+1) is the residue at depth r - 1 - k, at
-    the position of w(k+1) among w(1), ..., w(k+1), and it is linear, so
-    its plan's sign moves to the ends.  The first residue, in z_{w(r)}
-    alone, only multiplies by C(e, 0) = 1, so above rank 1 w(r) takes no
-    step and its sign joins the ends of the node (w(1), ..., w(r-1)): each
-    (column, sign) of ends[n] adds sign times the one coefficient of the
-    node's state to the column's total.  tops[v] bounds variable v + 1's
-    m_0.
+    depth k + 1.  The step of w(k+1) is the residue at depth i = r - 1 - k,
+    at the position p of w(k+1) among w(1), ..., w(k+1), and it is linear,
+    so its sign, (-1)^(k - p) for the k - p active variables above w(k+1),
+    moves to the ends.  The first residue, in z_{w(r)} alone, only
+    multiplies by C(e, 0) = 1, so above rank 1 w(r) takes no step and its
+    sign joins the ends of the node (w(1), ..., w(r-1)): each (column, sign)
+    of ends[n] adds sign times the one coefficient of the node's state to
+    the column's total.  tops[v] bounds variable v + 1's m_0: a key at depth
+    i has pole order at most i + 1 + i(i - 1)/2 (see _products).
+
+    The price of the walk is the sum over its steps of P(r, i) times the
+    columns the step holds, the column bound, exact for one column; given
+    the exponent columns, it counts the step's classes instead, the
+    distinct exponents its columns have on its prefix's variables.  Past
+    WORK_LIMIT it raises _Costly before any plan is looked up; otherwise it
+    binds each step's into.
     """
     items = sorted((images, j, sign) for j, orders in enumerate(columns) for images, sign in orders)
     r = len(items[0][0]) if items else 0
@@ -239,20 +237,30 @@ def _compile(columns: Sequence[Sequence[Tuple[Tuple[int, ...], int]]]) -> tuple:
             k += 1
         for d in range(k, r):  # the node at depth d + 1, below the path's node at depth d
             t, mask = images[d], masks[d]
-            plan_sign, top, _, into = _plan(r, r - 1 - d, bin(mask & ((1 << t) - 1)).count("1"))
-            masks[d + 1], signs[d + 1] = mask | 1 << t, signs[d] * plan_sign
+            p = bin(mask & ((1 << t) - 1)).count("1")
+            masks[d + 1], signs[d + 1] = mask | 1 << t, -signs[d] if (d - p) % 2 else signs[d]
             if d < full:
-                tops[t - 1] = max(tops[t - 1], top)
+                i = r - 1 - d
+                tops[t - 1] = max(tops[t - 1], i + 1 + i * (i - 1) // 2)
                 path[d + 1] = len(steps)
-                steps.append((d, t - 1, into, lone or [], []))
+                steps.append((d, t - 1, p, lone or [], []))
         for d in range(1, full + 1) if lone is None else ():
             if last[d][j] != path[d]:
                 last[d][j] = path[d]
                 steps[path[d]][3].append(j)
         steps[path[full]][4].append((j, signs[r] * sign))
         prev = images
+    tally, prefix = [0] * r, []  # per depth, the columns or classes its steps hold
+    for d, v, _, held, _ in steps:
+        prefix[d:] = [v]
+        tally[d] += len(held if exponent_columns is None else
+                        {tuple(exponent_columns[j][u] for u in prefix) for j in held})
+    work = sum(_products(r, r - 1 - d) * n for d, n in enumerate(tally))
+    if work > WORK_LIMIT:
+        raise _Costly(work, columns)
     # Tuples: the garbage collector stops tracking them, where lists stay tracked.
-    return tuple(zip(*[(d, v, into, tuple(held), tuple(ends)) for d, v, into, held, ends in steps])), tuple(tops)
+    return tuple(zip(*[(d, v, _plan(r, r - 1 - d, p)[1], tuple(held), tuple(ends))
+                       for d, v, p, held, ends in steps])), tuple(tops)
 
 
 @lru_cache(maxsize=1024)
@@ -261,21 +269,10 @@ def _program(chambers: Tuple[bytes, ...]) -> tuple:
     once per chamber sequence, which searches each of its distinct chambers
     once.  Its plans depend on the rank and the order prefixes alone, so it
     serves any vectors of those chambers: a lone vector runs its chamber's
-    1-tuple, and the samples of a ray share a few programs.
-
-    Before it compiles, it prices the walk.  An order takes at most one
-    step per depth, so unless its orders times the price of one order pass
-    WORK_LIMIT, the walk fits.  Otherwise it counts the column bound, each
-    node's P(r, depth) times the columns that pass through it, and raises
-    _Costly past WORK_LIMIT: exact for one column, an upper bound for more."""
+    1-tuple, and the samples of a ray share a few programs.  A walk that
+    _compile refuses raises _Costly, which the cache does not keep."""
     orders = {chamber: _special_orders(chamber) for chamber in dict.fromkeys(chambers)}
-    r = len(chambers[0]).bit_length() - 1
-    columns = [orders[chamber] for chamber in chambers]
-    if sum(map(len, columns)) * _work(r, [tuple(range(r))]) > WORK_LIMIT:
-        bound = sum(n * _work(r, [images for images, _ in orders[chamber]]) for chamber, n in Counter(chambers).items())
-        if bound > WORK_LIMIT:
-            raise _Costly(bound, columns)
-    return _compile(columns)
+    return _compile([orders[chamber] for chamber in chambers])
 
 
 def _run(program: tuple, exponent_columns: Sequence[Sequence[int]]) -> List[int]:
@@ -341,8 +338,13 @@ def iterated_residue(w: Permutation, exponents: Sequence[int]):
 
     `exponents` are the numerator exponents (e_1, ..., e_r) of the standard
     integrand; the denominator z_1...z_r prod_{i<j}(z_i - z_j) is implicit.
+    The order of no variables is refused with bad-length, and a walk past
+    WORK_LIMIT with budget-exceeded before any plan is bound.
     """
-    return _run(_compile([[(w.images, 1)]]), [_sized(exponents, len(w))])[0]
+    exponents = _sized(exponents, len(w))
+    if not exponents:
+        raise ValidationError("bad-length", "an order needs at least one variable")
+    return _run(_compile([[(w.images, 1)]]), [exponents])[0]
 
 
 def _exponents(a: Tuple[int, ...]) -> List[int]:
@@ -404,19 +406,15 @@ def _flip(a: Tuple[int, ...]) -> Tuple[int, ...]:
 def _walk(sides: List[Tuple[int, ...]]) -> List[int]:
     """The residue sums of in-cone vectors of one rank, by one run of the
     program of their chambers.  When its column bound passes WORK_LIMIT, a
-    batch counts its classes exactly and runs an uncached program if they
-    fit; a lone vector's bound is exact, and it is refused."""
+    batch compiles an uncached program priced by its classes, refused in
+    turn past the limit; a lone vector's bound is exact, and it is refused."""
     chambers, columns = tuple(map(_chamber, sides)), [_exponents(a) for a in sides]
     try:
         program = _program(chambers)
     except _Costly as costly:
         if len(sides) == 1:
             raise
-        work = _work(len(sides[0]) - 1, [tuple((t, e[t - 1]) for t in images)
-                                         for orders, e in zip(costly.columns, columns) for images, _ in orders])
-        if work > WORK_LIMIT:
-            raise _Costly(work, costly.columns) from None
-        program = _compile(costly.columns)
+        program = _compile(costly.columns, columns)
     return _run(program, columns)
 
 

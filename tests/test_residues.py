@@ -3,6 +3,7 @@
 import itertools
 import math
 import random
+import re
 from fractions import Fraction
 from functools import lru_cache
 from operator import mul
@@ -21,6 +22,7 @@ from kostant.residues import (
     _binomials,
     _chamber,
     _compile,
+    _Costly,
     _exponents,
     _partition_of,
     _plan,
@@ -49,6 +51,15 @@ def _classes(program, exponent_columns):
         prefix[depth:] = [variable]
         counts.append(len({tuple(exponent_columns[j][v] for v in prefix) for j in holds}))
     return counts
+
+
+def _refused(*args):
+    raise AssertionError("pricing a walk built a plan")
+
+
+def _named(costly):
+    """The multiply-adds that a refused walk's _Costly names."""
+    return int(re.search(r"walk of (\d+) multiply-adds", str(costly))[1])
 
 
 def _searches(monkeypatch):
@@ -214,7 +225,7 @@ class TestIteratedResidue:
         assert residue(Permutation((1, 2)), (Fraction(6, 2), -1)) == 3
 
     @pytest.mark.parametrize("residue", [iterated_residue, iterated_residue_by_substitution])
-    @pytest.mark.parametrize("images, exponents", [((1, 2), (1,)), ((1,), (1, 0)), ((2, 1), ())])
+    @pytest.mark.parametrize("images, exponents", [((1, 2), (1,)), ((1,), (1, 0)), ((2, 1), ()), ((), ())])
     def test_size_mismatch_is_a_bad_length(self, residue, images, exponents):
         with pytest.raises(ValidationError) as err:
             residue(Permutation(images), exponents)
@@ -532,10 +543,6 @@ def _expanded(keys, tpos):
     return frozenset(out), products
 
 
-class _Compiled(Exception):
-    """Raised by a spy in place of a program's walk."""
-
-
 class TestCompiledStep:
     def test_recurrence_rows_are_exact_binomials(self):
         # Covers the zero band 0 <= e < m, where C(e, m) = 0 for every later m.
@@ -653,7 +660,7 @@ class TestCompiledStep:
             keys = sorted(next(iter(reached)))
             expanded = [_expanded(keys, tpos) for tpos in range(r - depth)]
             for tpos, (out, products) in enumerate(expanded):
-                _, _, out_keys, into = _plan(r, depth, tpos)
+                out_keys, into = _plan(r, depth, tpos)
                 assert out_keys == tuple(sorted(out)), (depth, tpos)
                 assert sum(map(len, into)) == products, (depth, tpos)
                 assert {k for src in into for k, _ in src} == set(range(len(out_keys))), (depth, tpos)
@@ -663,46 +670,57 @@ class TestCompiledStep:
     def test_products_per_step_depend_on_rank_and_depth(self):
         # P(r, d), the products of a step at depth d, is the same at every
         # position, so the work of a program is known from its tree's shape.
-        table = {r: [{sum(map(len, _plan(r, d, tpos)[3])) for tpos in range(r - d)} for d in range(r)]
+        table = {r: [{sum(map(len, _plan(r, d, tpos)[1])) for tpos in range(r - d)} for d in range(r)]
                  for r in range(2, 8)}
         assert all(len(products) == 1 for row in table.values() for products in row)
         # The closed form counts them from the key sets alone, without a plan.
         assert table == {r: [{residues._products(r, d)} for d in range(r)] for r in table}
         assert [products.pop() for products in table[7]] == [1, 6, 110, 1058, 2142, 616, 16]
         assert [residues._products(9, d) for d in range(9)] == [1, 8, 280, 7756, 68827, 139568, 55896, 3795, 29]
+        # The top of a step at depth i, i + 1 + i(i - 1)/2 in _compile, is the
+        # largest pole order in the key set of that depth.  The identity
+        # order's variable k + 1 steps at depth r - 1 - k, but w(r) above rank 1.
+        for r in range(1, 8):
+            keys = [((-1,) * r,)] + [_plan(r, d, 0)[0] for d in range(r - 1)]
+            steps = max(r - 1, 1)
+            assert _compile([[(tuple(range(1, r + 1)), 1)]])[1] == tuple(
+                -min(map(min, keys[r - 1 - k])) for k in range(steps)) + (0,) * (r - steps), r
 
-    @pytest.mark.parametrize("r, multiply_adds", [(5, 2886), (6, 73156), (7, 2251836)])
+    @pytest.mark.parametrize("r, multiply_adds", [(4, 176), (5, 2886), (6, 73156), (7, 2251836)])
     def test_theta_multiply_adds(self, monkeypatch, r, multiply_adds):
-        # The products of a step times its classes, the distinct exponent
-        # tuples of its columns on its prefix's variables, summed over the
-        # program of theta(r)'s cold sum; the spy stops before the walk.  No
-        # theta argument is flipped.  The engine counts the same work from
-        # the orders and the exponents before it compiles, and first reads
-        # the column bound, which counts each column apart: only theta(7)'s
-        # passes WORK_LIMIT, and its classes fit.
-        bound = {5: 9570, 6: 442182, 7: 26279904}[r]
-        programs, compiled = [], []
+        # The program of theta(r)'s cold sum, priced by _compile under a limit
+        # of 0 and with plans refused: first the column bound, which counts
+        # each column apart, then, as the batch falls back, the classes, the
+        # distinct exponent tuples of a step's columns on its prefix's
+        # variables.  No theta argument is flipped.  Under WORK_LIMIT only
+        # theta(7)'s bound passes, and its classes fit.
+        bound = {4: 340, 5: 9570, 6: 442182, 7: 26279904}[r]
+        named = []
         compile_ = residues._compile
 
-        def spied(program, exponent_columns):
-            programs.append((program, exponent_columns))
-            raise _Compiled
+        def spied(*args):
+            try:
+                return compile_(*args)
+            except _Costly as costly:
+                named.append((_named(costly), args))
+                raise
 
-        monkeypatch.setattr(residues, "_run", spied)
-        monkeypatch.setattr(residues, "_compile", lambda columns: compiled.append(columns) or compile_(columns))
+        monkeypatch.setattr(residues, "_compile", spied)
         _partition_of.cache_clear()
         _program.cache_clear()
-        with pytest.raises(_Compiled):
-            multiplicity(theta(r), (0,) * (r + 1))
-        _program.cache_clear()
-        ((program, columns),) = programs
+        with monkeypatch.context() as m:
+            m.setattr(residues, "WORK_LIMIT", 0)
+            m.setattr(residues, "_plan", _refused)
+            with pytest.raises(BudgetExceeded, match=f"walk of {multiply_adds} multiply-adds"):
+                multiplicity(theta(r), (0,) * (r + 1))
+        assert [work for work, _ in named] == [bound, multiply_adds]
+        assert (bound > residues.WORK_LIMIT) == (r == 7) and multiply_adds <= residues.WORK_LIMIT
+        # The priced classes are the walk's: each step's products times its
+        # classes, summed over the compiled program.
+        ((orders, columns),) = [args for _, args in named if len(args) == 2]
+        program = _compile(orders, columns)
         products = [sum(map(len, into)) for _, _, into, _, _ in _steps(program)]
         assert sum(map(mul, products, _classes(program, columns))) == multiply_adds
-        (orders,) = compiled
-        paths = [tuple((t, e[t - 1]) for t in images) for held, e in zip(orders, columns) for images, _ in held]
-        assert residues._work(r, paths) == multiply_adds
-        assert sum(residues._work(r, [images for images, _ in held]) for held in orders) == bound
-        assert (bound > residues.WORK_LIMIT) == (r == 7)
 
     def test_eviction_keeps_values(self, monkeypatch):
         # A cache of 8 plans evicts on almost every step of a rank-5 or 6 walk.
@@ -1109,14 +1127,10 @@ class TestFlip:
 
 
 class TestWorkLimit:
-    """A walk's multiply-adds are counted after the order search and before
-    any plan is built, and a walk past residues.WORK_LIMIT is refused.  The
-    counts here come from the count, never from a run; the limits are
-    lowered, never reached."""
-
-    @staticmethod
-    def lone_work(a):
-        return residues._work(len(a) - 1, [images for images, _ in _special_orders(_chamber(a))])
+    """A walk's multiply-adds are counted by _compile from the prefix tree of
+    its orders, before any plan is bound, and a walk past residues.WORK_LIMIT
+    is refused.  The counts here come from that price, never from a run; the
+    limits are lowered, never reached."""
 
     @pytest.mark.parametrize("a, own, flipped", [
         ((118, 108, 115, 44, -6, -6, 54, -68, -83, -276), 107040807, None),
@@ -1125,13 +1139,15 @@ class TestWorkLimit:
         ((179, 255, 4, 114, 32, -52, -193, -95, -164, -80), None, 211715812),
     ])
     def test_lone_walks_are_priced_before_they_run(self, monkeypatch, a, own, flipped):
-        def refused(*args):
-            raise AssertionError("pricing a walk built a plan")
-
-        monkeypatch.setattr(residues, "_plan", refused)
+        # Under a limit of 0, _compile names each side's price in the _Costly
+        # it raises, counted from the prefix tree alone.
+        monkeypatch.setattr(residues, "WORK_LIMIT", 0)
+        monkeypatch.setattr(residues, "_plan", _refused)
         for side, work in ((a, own), (residues._flip(a), flipped)):
             if work is not None:
-                assert self.lone_work(side) == work, side
+                with pytest.raises(_Costly) as err:
+                    _compile([_special_orders(_chamber(side))])
+                assert _named(err.value) == work, side
         # The rule keeps the rank-9 vectors of 107.0M and 53.3M on a, and
         # sends the rank-8 one and the last to their flips.
         assert (_rule_side(a) == a) == (flipped is None)
@@ -1169,22 +1185,34 @@ class TestWorkLimit:
         assert kostant_partition(a) == kostant_partition_bruteforce(a)
 
     def test_a_batch_counts_its_classes_once_its_column_bound_passes(self, monkeypatch):
-        # theta(4)'s 16 terms: 176 multiply-adds, a column bound of 340.
+        # theta(4)'s 16 terms: 176 multiply-adds, a column bound of 340.  Under
+        # 340 the program fits; under 176 its bound is refused and the batch
+        # compiles again, priced by its classes, uncached.
         compiled = []
         compile_ = residues._compile
-        monkeypatch.setattr(residues, "_compile", lambda columns: compiled.append(len(columns)) or compile_(columns))
+        monkeypatch.setattr(residues, "_compile", lambda columns, *exponents:
+                            compiled.append((len(columns), len(exponents))) or compile_(columns, *exponents))
         for limit, cached in ((340, 1), (176, 0)):
             monkeypatch.setattr(residues, "WORK_LIMIT", limit)
             _partition_of.cache_clear()
             _program.cache_clear()
             assert multiplicity(theta(4), (0,) * 5) == 64
             assert _program.cache_info().currsize == cached
-        assert compiled == [16, 16]
+        assert compiled == [(16, 0), (16, 0), (16, 1)]
         monkeypatch.setattr(residues, "WORK_LIMIT", 175)
         _partition_of.cache_clear()
         with pytest.raises(BudgetExceeded, match="176 multiply-adds"):
             multiplicity(theta(4), (0,) * 5)
         assert len(_partition_of) == 0
+
+    def test_a_lone_order_is_priced_before_it_runs(self, monkeypatch):
+        # The rank-12 identity order steps once per depth 1 to 11: the sum of
+        # P(12, d), refused before any plan is built.
+        assert sum(residues._products(12, d) for d in range(1, 12)) == 300732961
+        monkeypatch.setattr(residues, "_plan", _refused)
+        with pytest.raises(BudgetExceeded, match="walk of 300732961 multiply-adds") as err:
+            iterated_residue(Permutation.identity(12), [0] * 12)
+        assert err.value.code == "budget-exceeded"
 
 
 class TestRankLimit:
