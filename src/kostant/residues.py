@@ -37,9 +37,10 @@ flip(a) = (-a_{r+1}, ..., -a_1).  A fresh vector a is counted as flip(a)
 exactly when a_1 + a_{r+1} > 0, the case in which the flip's chamber has at
 least as many non-negative subset sums; a single comparison, about half
 the orders, and no second search.  Each step's products P(r, depth) have a
-closed form, so the compiler prices every walk from its prefix tree before
-it binds a plan: P times the columns each step holds, or, for a batch past
-WORK_LIMIT on that bound, its classes.  A walk past WORK_LIMIT is refused
+closed form, and a walk takes P times the classes of each step, so every
+walk is priced before a plan is bound: the compiler sums P over its prefix
+tree, exact for one column and a lower bound for a batch, and a batch's
+run prices it by the classes it merges.  A walk past WORK_LIMIT is refused
 with BudgetExceeded; a lone vector refused on one side of the flip tries
 the other first.
 """
@@ -48,10 +49,10 @@ from __future__ import annotations
 
 from collections import OrderedDict, namedtuple
 from functools import lru_cache
-from itertools import accumulate
+from itertools import accumulate, repeat
 from math import comb
 from operator import add
-from typing import List, Optional, Sequence, Tuple
+from typing import List, Sequence, Tuple
 
 from .permsearch import BudgetExceeded, _bounded
 from .permutations import Permutation
@@ -163,25 +164,22 @@ def _products(r: int, depth: int) -> int:
     return sum(comb(depth + f + n - 1, n - 1) * comb(room - f + n - 1, n - 1) for f in range(room + 1))
 
 
-# The most multiply-adds one walk may take, as _compile counts them.  The
-# largest that answers in the tests, the acceptance cases and the benchmark
-# is theta(7)'s sum, 2,251,836 by its classes (26.3M by its column bound);
-# the rank-8 vector 198,176,-22,37,-20,-18,-87,-116,-148 takes 7,063,876 on
-# its flip side, about 1.2 s.  The rank-9 partition counts of
-# 118,108,115,44,-6,-6,54,-68,-83,-276 (107.0M) and of
+# The most multiply-adds one walk may take.  The largest that answers in
+# the tests, the acceptance cases and the benchmark is theta(7)'s sum,
+# 2,251,836 by its classes, which _run counts (at least 141,872 by its tree,
+# which _compile counts); the rank-8 vector 198,176,-22,37,-20,-18,-87,-116,-148
+# takes 7,063,876 on its flip side, about 1.2 s.  The rank-9 partition
+# counts of 118,108,115,44,-6,-6,54,-68,-83,-276 (107.0M) and of
 # 179,255,4,114,32,-52,-193,-95,-164,-80 (211.7M on its flip side) and the
-# rank-12 identity order's residue (300.7M) are refused.
+# rank-12 identity order's residue (300.7M) are refused by _compile.
 WORK_LIMIT = 10_000_000
 
 
-class _Costly(BudgetExceeded):
-    """A walk past WORK_LIMIT, with the searched orders of its columns, so that
-    a batch whose column bound passes can count its classes exactly."""
-
-    def __init__(self, work: int, columns: list):
-        super().__init__(f"a residue walk of {work} multiply-adds passes the limit of {WORK_LIMIT}; "
-                         "the query is too large")
-        self.columns = columns
+def _priced(work: int) -> None:
+    """Refuse a walk of `work` multiply-adds past WORK_LIMIT."""
+    if work > WORK_LIMIT:
+        raise BudgetExceeded(f"a residue walk of {work} multiply-adds passes the limit of {WORK_LIMIT}; "
+                             "the query is too large")
 
 
 def _binomials(e: int, top: int) -> List[int]:
@@ -192,36 +190,34 @@ def _binomials(e: int, top: int) -> List[int]:
     return b
 
 
-def _compile(columns: Sequence[Sequence[Tuple[Tuple[int, ...], int]]],
-             exponent_columns: Optional[Sequence[Sequence[int]]] = None) -> tuple:
+def _compile(columns: Sequence[Sequence[Tuple[Tuple[int, ...], int]]]) -> tuple:
     """The walk of the prefix tree of the images w(1), w(2), ... of weighted
-    orders over exponent columns, flattened depth first and priced before
-    any plan is bound.
+    orders over exponent columns, flattened depth first, with no plan bound.
 
     columns[j] lists the (w.images, sign) of column j's orders, as
-    _special_orders gives them, and may be empty.  Returns (steps, tops),
-    steps the fields (depths, variables, into, holds, ends), one entry per
-    tree node but the root.  Step n is the node (w(1), ..., w(k+1)) with
-    k = depths[n]: it reads the state that its parent, the last node of
-    depth k before it, left at depth k, takes the transposed residue in
-    variable variables[n] + 1 = w(k+1) by its plan's into[n] for the
-    columns holds[n] whose orders pass through it, and leaves its state at
-    depth k + 1.  The step of w(k+1) is the residue at depth i = r - 1 - k,
-    at the position p of w(k+1) among w(1), ..., w(k+1), and it is linear,
-    so its sign, (-1)^(k - p) for the k - p active variables above w(k+1),
-    moves to the ends.  The first residue, in z_{w(r)} alone, only
-    multiplies by C(e, 0) = 1, so above rank 1 w(r) takes no step and its
-    sign joins the ends of the node (w(1), ..., w(r-1)): each (column, sign)
-    of ends[n] adds sign times the one coefficient of the node's state to
-    the column's total.  tops[v] bounds variable v + 1's m_0: a key at depth
-    i has pole order at most i + 1 + i(i - 1)/2 (see _products).
+    _special_orders gives them, and may be empty.  Returns (steps, tops,
+    plans), steps the fields (depths, variables, shapes, holds, ends), one
+    entry per tree node but the root, and plans empty until a run binds one
+    per step.  Step n is the node (w(1), ..., w(k+1)) with k = depths[n]: it
+    reads the state that its parent, the last node of depth k before it,
+    left at depth k, takes the transposed residue in variable variables[n]
+    + 1 = w(k+1) for the columns holds[n] whose orders pass through it, and
+    leaves its state at depth k + 1.  The step of w(k+1) is the residue at
+    depth i = r - 1 - k, at the position p of w(k+1) among w(1), ...,
+    w(k+1): shapes[n] is (P(r, i), i, p), and its plan is _plan(r, i, p).
+    It is linear, so its sign, (-1)^(k - p) for the k - p active variables
+    above w(k+1), moves to the ends.  The first residue, in z_{w(r)} alone,
+    only multiplies by C(e, 0) = 1, so above rank 1 w(r) takes no step and
+    its sign joins the ends of the node (w(1), ..., w(r-1)): each (column,
+    class, sign) of ends[n] adds sign times the one coefficient of the
+    class's state to the column's total, compiled with the column as its
+    own class.  tops[v] bounds variable v + 1's m_0: a key at depth i has
+    pole order at most i + 1 + i(i - 1)/2 (see _products).
 
-    The price of the walk is the sum over its steps of P(r, i) times the
-    columns the step holds, the column bound, exact for one column; given
-    the exponent columns, it counts the step's classes instead, the
-    distinct exponents its columns have on its prefix's variables.  Past
-    WORK_LIMIT it raises _Costly before any plan is looked up; otherwise it
-    binds each step's into.
+    Every step takes at least one class, so the sum over the steps of
+    P(r, i) bounds any walk of the program from below, and it is exact for
+    one column.  Past WORK_LIMIT the walk is refused before any plan is
+    looked up.
     """
     items = sorted((images, j, sign) for j, orders in enumerate(columns) for images, sign in orders)
     r = len(items[0][0]) if items else 0
@@ -243,24 +239,17 @@ def _compile(columns: Sequence[Sequence[Tuple[Tuple[int, ...], int]]],
                 i = r - 1 - d
                 tops[t - 1] = max(tops[t - 1], i + 1 + i * (i - 1) // 2)
                 path[d + 1] = len(steps)
-                steps.append((d, t - 1, p, lone or [], []))
+                steps.append((d, t - 1, (_products(r, i), i, p), lone or [], []))
         for d in range(1, full + 1) if lone is None else ():
             if last[d][j] != path[d]:
                 last[d][j] = path[d]
                 steps[path[d]][3].append(j)
-        steps[path[full]][4].append((j, signs[r] * sign))
+        steps[path[full]][4].append((j, j, signs[r] * sign))
         prev = images
-    tally, prefix = [0] * r, []  # per depth, the columns or classes its steps hold
-    for d, v, _, held, _ in steps:
-        prefix[d:] = [v]
-        tally[d] += len(held if exponent_columns is None else
-                        {tuple(exponent_columns[j][u] for u in prefix) for j in held})
-    work = sum(_products(r, r - 1 - d) * n for d, n in enumerate(tally))
-    if work > WORK_LIMIT:
-        raise _Costly(work, columns)
+    _priced(sum(shape[0] for _, _, shape, _, _ in steps))
     # Tuples: the garbage collector stops tracking them, where lists stay tracked.
-    return tuple(zip(*[(d, v, _plan(r, r - 1 - d, p)[1], tuple(held), tuple(ends))
-                       for d, v, p, held, ends in steps])), tuple(tops)
+    fields = tuple(zip(*[(d, v, shape, tuple(held), tuple(ends)) for d, v, shape, held, ends in steps]))
+    return fields or ((),) * 5, tuple(tops), []
 
 
 @lru_cache(maxsize=1024)
@@ -269,8 +258,11 @@ def _program(chambers: Tuple[bytes, ...]) -> tuple:
     once per chamber sequence, which searches each of its distinct chambers
     once.  Its plans depend on the rank and the order prefixes alone, so it
     serves any vectors of those chambers: a lone vector runs its chamber's
-    1-tuple, and the samples of a ray share a few programs.  A walk that
-    _compile refuses raises _Costly, which the cache does not keep."""
+    1-tuple, and the samples of a ray share a few programs.  A tree that
+    _compile refuses raises BudgetExceeded, which the cache does not keep; a
+    batch that _run refuses by its classes leaves its tree here unbound, no
+    larger than a program that runs, for vectors of those chambers whose
+    exponents merge more."""
     orders = {chamber: _special_orders(chamber) for chamber in dict.fromkeys(chambers)}
     return _compile([orders[chamber] for chamber in chambers])
 
@@ -290,38 +282,46 @@ def _run(program: tuple, exponent_columns: Sequence[Sequence[int]]) -> List[int]
     of a node (w(1), ..., w(k)) depends on that prefix and on the exponents
     of w(1), ..., w(k) alone, so the columns of a node fall into classes,
     one per (e_{w(k)}, parent class) and named by its first column, and
-    each class takes the step once; a node of one column needs no merging.
-    Each variable's binomials are bound once per run, one list per distinct
-    exponent, which every column of that exponent holds.
+    each class takes the step once.  A batch finds its classes in one pass
+    before any state: per step, each class by its (exponent, parent class),
+    and the class of each of its ends.  The walk's price is then P(r, i)
+    times the classes of each step, refused past WORK_LIMIT; one column is
+    one class per step, priced exactly by _compile.  The first run that its price
+    admits binds every step's plan, all or none.  Each variable's binomials
+    are bound once per run, one list per distinct exponent, which every
+    column of that exponent holds.
     """
-    steps, tops = program
+    (depths, variables, shapes, holds, ends), tops, plans = program
     width = len(exponent_columns)
     if width == 1:  # column 0 names every class
         binomials = list(zip(map(_binomials, exponent_columns[0], tops)))
-        classes = [[0]] * (len(tops) + 1)
+        merged = repeat({(0, 0): 0}.items())
     else:  # one list per distinct exponent, held by each of its columns
         exponents = list(zip(*exponent_columns))
         binomials = [tuple(map({e: _binomials(e, top) for e in set(ev)}.get, ev)) for ev, top in zip(exponents, tops)]
         classes = [[0] * width for _ in range(len(tops) + 1)]  # per depth, each column's class
+        merged, resolved, work = [], [], 0
+        for d, v, (products, _, _), held, reached in zip(depths, variables, shapes, holds, ends):
+            ev, cls, child, reps = exponents[v], classes[d], classes[d + 1], {}
+            for j in held:
+                child[j] = reps.setdefault((ev[j], cls[j]), j)
+            merged.append(reps.items())
+            resolved.append(reached and [(j, child[j], sign) for j, _, sign in reached])
+            work += products * len(reps)
+        _priced(work)
+        ends = resolved
+    if not plans:
+        plans[:] = [_plan(len(tops), i, p)[1] for _, i, p in shapes]
     states = [{0: [1]}] + [None] * len(tops)  # per depth, each class's covector
     totals = [0] * width
-    for d, v, into, holds, ends in zip(*steps):
-        b, parents = binomials[v], states[d]
-        if len(holds) == 1:
-            j, = holds
-            out, bins = parents[classes[d][j]], b[j]
-            classes[d + 1][j] = j
-            state = {j: [sum([out[k] * bins[m0] for k, m0 in src]) for src in into]}
-        else:  # a class is named by its first column
-            ev, cls, child, reps, state = exponents[v], classes[d], classes[d + 1], {}, {}
-            for j in holds:
-                child[j] = reps.setdefault((ev[j], cls[j]), j)
-            for (_, c), j in reps.items():
-                out, bins = parents[c], b[j]
-                state[j] = [sum([out[k] * bins[m0] for k, m0 in src]) for src in into]
+    for d, v, into, reps, reached in zip(depths, variables, plans, merged, ends):
+        b, parents, state = binomials[v], states[d], {}
+        for (_, c), j in reps:
+            out, bins = parents[c], b[j]
+            state[j] = [sum([out[k] * bins[m0] for k, m0 in src]) for src in into]
         states[d + 1] = state
-        for j, sign in ends:
-            totals[j] += sign * state[classes[d + 1][j]][0]
+        for j, c, sign in reached:
+            totals[j] += sign * state[c][0]
     return totals
 
 
@@ -405,17 +405,8 @@ def _flip(a: Tuple[int, ...]) -> Tuple[int, ...]:
 
 def _walk(sides: List[Tuple[int, ...]]) -> List[int]:
     """The residue sums of in-cone vectors of one rank, by one run of the
-    program of their chambers.  When its column bound passes WORK_LIMIT, a
-    batch compiles an uncached program priced by its classes, refused in
-    turn past the limit; a lone vector's bound is exact, and it is refused."""
-    chambers, columns = tuple(map(_chamber, sides)), [_exponents(a) for a in sides]
-    try:
-        program = _program(chambers)
-    except _Costly as costly:
-        if len(sides) == 1:
-            raise
-        program = _compile(costly.columns, columns)
-    return _run(program, columns)
+    program of their chambers."""
+    return _run(_program(tuple(map(_chamber, sides))), [_exponents(a) for a in sides])
 
 
 def _counts(keys: Sequence[Tuple[int, ...]]) -> List[int]:

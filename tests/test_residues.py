@@ -22,7 +22,6 @@ from kostant.residues import (
     _binomials,
     _chamber,
     _compile,
-    _Costly,
     _exponents,
     _partition_of,
     _plan,
@@ -39,7 +38,7 @@ from kostant.vectors import DominantWeight, ValidationError, deform, in_positive
 
 
 def _steps(program):
-    """A program's steps as (depth, variable, into, holds, ends) tuples."""
+    """A program's steps as (depth, variable, shape, holds, ends) tuples."""
     return list(zip(*program[0]))
 
 
@@ -57,9 +56,9 @@ def _refused(*args):
     raise AssertionError("pricing a walk built a plan")
 
 
-def _named(costly):
-    """The multiply-adds that a refused walk's _Costly names."""
-    return int(re.search(r"walk of (\d+) multiply-adds", str(costly))[1])
+def _named(refusal):
+    """The multiply-adds that a refused walk's BudgetExceeded names."""
+    return int(re.search(r"walk of (\d+) multiply-adds", str(refusal))[1])
 
 
 def _searches(monkeypatch):
@@ -688,38 +687,37 @@ class TestCompiledStep:
 
     @pytest.mark.parametrize("r, multiply_adds", [(4, 176), (5, 2886), (6, 73156), (7, 2251836)])
     def test_theta_multiply_adds(self, monkeypatch, r, multiply_adds):
-        # The program of theta(r)'s cold sum, priced by _compile under a limit
-        # of 0 and with plans refused: first the column bound, which counts
-        # each column apart, then, as the batch falls back, the classes, the
-        # distinct exponent tuples of a step's columns on its prefix's
-        # variables.  No theta argument is flipped.  Under WORK_LIMIT only
-        # theta(7)'s bound passes, and its classes fit.
-        bound = {4: 340, 5: 9570, 6: 442182, 7: 26279904}[r]
-        named = []
-        compile_ = residues._compile
+        # The program of theta(r)'s cold sum, with plans refused.  _compile
+        # prices its tree at one class per step, a lower bound, and refuses it
+        # under a limit just below that bound; under a limit of the bound, _run
+        # prices the walk by its classes, the distinct exponent tuples of a
+        # step's columns on its prefix's variables, and refuses it.  No theta
+        # argument is flipped, and under WORK_LIMIT every walk fits.
+        lower = {4: 34, 5: 431, 6: 6698, 7: 141872}[r]
+        runs = []
+        run = residues._run
 
-        def spied(*args):
-            try:
-                return compile_(*args)
-            except _Costly as costly:
-                named.append((_named(costly), args))
-                raise
+        def spied(program, exponent_columns):
+            runs.append((program, exponent_columns))
+            return run(program, exponent_columns)
 
-        monkeypatch.setattr(residues, "_compile", spied)
-        _partition_of.cache_clear()
-        _program.cache_clear()
+        monkeypatch.setattr(residues, "_run", spied)
         with monkeypatch.context() as m:
-            m.setattr(residues, "WORK_LIMIT", 0)
             m.setattr(residues, "_plan", _refused)
-            with pytest.raises(BudgetExceeded, match=f"walk of {multiply_adds} multiply-adds"):
-                multiplicity(theta(r), (0,) * (r + 1))
-        assert [work for work, _ in named] == [bound, multiply_adds]
-        assert (bound > residues.WORK_LIMIT) == (r == 7) and multiply_adds <= residues.WORK_LIMIT
+            for limit, work in ((lower - 1, lower), (lower, multiply_adds)):
+                m.setattr(residues, "WORK_LIMIT", limit)
+                _partition_of.cache_clear()
+                _program.cache_clear()
+                with pytest.raises(BudgetExceeded, match=f"walk of {work} multiply-adds"):
+                    multiplicity(theta(r), (0,) * (r + 1))
+        assert multiply_adds <= residues.WORK_LIMIT
         # The priced classes are the walk's: each step's products times its
-        # classes, summed over the compiled program.
-        ((orders, columns),) = [args for _, args in named if len(args) == 2]
-        program = _compile(orders, columns)
-        products = [sum(map(len, into)) for _, _, into, _, _ in _steps(program)]
+        # classes, summed over the program, which no run has bound.
+        ((program, columns),) = runs
+        assert program[2] == []
+        products = [products for _, _, (products, _, _), _, _ in _steps(program)]
+        assert products == [residues._products(r, depth) for _, _, (_, depth, _), _, _ in _steps(program)]
+        assert sum(products) == lower
         assert sum(map(mul, products, _classes(program, columns))) == multiply_adds
 
     def test_eviction_keeps_values(self, monkeypatch):
@@ -994,6 +992,50 @@ class TestBoundOnce:
         assert sorted(calls) == sorted(e for exponents in zip(*columns) for e in set(exponents))
         assert len(calls) == 12
 
+    def test_theta_seven_compiles_its_tree_once(self, monkeypatch):
+        # Its 2466 terms are priced by their classes from the one tree the
+        # cached program holds; no second tree is built to count them.
+        compiled = []
+        compile_ = residues._compile
+
+        def spied(*args):
+            compiled.append(len(args[0]))
+            return compile_(*args)
+
+        monkeypatch.setattr(residues, "_compile", spied)
+        _partition_of.cache_clear()
+        _program.cache_clear()
+        assert multiplicity(theta(7), (0,) * 8) == 2 ** 21
+        assert compiled == [_partition_of.cache_info().misses] == [2466]
+
+    def test_a_failed_bind_binds_no_plan(self, monkeypatch):
+        # A _plan that fails on its third call, with every plan warm, leaves
+        # the cached program with no plan bound, so the next run binds them
+        # all and answers; a part-bound program would drop the unbound steps.
+        a = (5, 3, -2, 1, -7)  # a_1 + a_5 < 0: counted on its own side
+        _partition_of.cache_clear()
+        _program.cache_clear()
+        assert kostant_partition(a) == 1729
+        _partition_of.cache_clear()
+        _program.cache_clear()
+        plan, calls = residues._plan, []
+
+        def failing(*args):
+            calls.append(args)
+            if len(calls) == 3:
+                raise MemoryError
+            return plan(*args)
+
+        with monkeypatch.context() as m:
+            m.setattr(residues, "_plan", failing)
+            with pytest.raises(MemoryError):
+                kostant_partition(a)
+        program = _program((_chamber(a),))
+        bound = len(program[2])
+        assert kostant_partition(a) == 1729
+        assert bound == 0 and len(program[2]) == len(_steps(program)) == 6
+        assert _program.cache_info()[:2] == (2, 1)
+
 
 class TestOrderBudget:
     """The special-order search refuses a frontier of more than
@@ -1127,10 +1169,11 @@ class TestFlip:
 
 
 class TestWorkLimit:
-    """A walk's multiply-adds are counted by _compile from the prefix tree of
-    its orders, before any plan is bound, and a walk past residues.WORK_LIMIT
-    is refused.  The counts here come from that price, never from a run; the
-    limits are lowered, never reached."""
+    """A walk's multiply-adds are counted before any plan is bound, a lone
+    walk's by _compile from the prefix tree of its orders and a batch's by
+    _run from its classes, and a walk past residues.WORK_LIMIT is refused.
+    The counts here come from that price, never from a walk; the limits are
+    lowered, never reached."""
 
     @pytest.mark.parametrize("a, own, flipped", [
         ((118, 108, 115, 44, -6, -6, 54, -68, -83, -276), 107040807, None),
@@ -1139,13 +1182,13 @@ class TestWorkLimit:
         ((179, 255, 4, 114, 32, -52, -193, -95, -164, -80), None, 211715812),
     ])
     def test_lone_walks_are_priced_before_they_run(self, monkeypatch, a, own, flipped):
-        # Under a limit of 0, _compile names each side's price in the _Costly
-        # it raises, counted from the prefix tree alone.
+        # Under a limit of 0, _compile names each side's price in the
+        # BudgetExceeded it raises, counted from the prefix tree alone.
         monkeypatch.setattr(residues, "WORK_LIMIT", 0)
         monkeypatch.setattr(residues, "_plan", _refused)
         for side, work in ((a, own), (residues._flip(a), flipped)):
             if work is not None:
-                with pytest.raises(_Costly) as err:
+                with pytest.raises(BudgetExceeded) as err:
                     _compile([_special_orders(_chamber(side))])
                 assert _named(err.value) == work, side
         # The rule keeps the rank-9 vectors of 107.0M and 53.3M on a, and
@@ -1184,26 +1227,34 @@ class TestWorkLimit:
             assert len(_partition_of) == 0 and _program.cache_info().currsize == 0
         assert kostant_partition(a) == kostant_partition_bruteforce(a)
 
-    def test_a_batch_counts_its_classes_once_its_column_bound_passes(self, monkeypatch):
-        # theta(4)'s 16 terms: 176 multiply-adds, a column bound of 340.  Under
-        # 340 the program fits; under 176 its bound is refused and the batch
-        # compiles again, priced by its classes, uncached.
-        compiled = []
+    def test_a_batch_refused_by_its_classes_keeps_its_unbound_tree(self, monkeypatch):
+        # theta(4)'s 16 terms: 176 multiply-adds by their classes, at least
+        # 34 by their tree.  Under 33 _compile refuses the tree, uncached.
+        # Under 175 _run refuses the walk, and the tree stays cached with no
+        # plan bound; under 176 that tree binds its plans and runs.
+        compiled, programs = [], []
         compile_ = residues._compile
-        monkeypatch.setattr(residues, "_compile", lambda columns, *exponents:
-                            compiled.append((len(columns), len(exponents))) or compile_(columns, *exponents))
-        for limit, cached in ((340, 1), (176, 0)):
+
+        def spied(columns):
+            compiled.append(len(columns))
+            programs.append(compile_(columns))
+            return programs[-1]
+
+        monkeypatch.setattr(residues, "_compile", spied)
+        _program.cache_clear()
+        for limit, cached in ((33, 0), (175, 1)):
             monkeypatch.setattr(residues, "WORK_LIMIT", limit)
             _partition_of.cache_clear()
-            _program.cache_clear()
-            assert multiplicity(theta(4), (0,) * 5) == 64
-            assert _program.cache_info().currsize == cached
-        assert compiled == [(16, 0), (16, 0), (16, 1)]
-        monkeypatch.setattr(residues, "WORK_LIMIT", 175)
+            with pytest.raises(BudgetExceeded, match=f"walk of {limit + 1} multiply-adds"):
+                multiplicity(theta(4), (0,) * 5)
+            assert len(_partition_of) == 0 and _program.cache_info().currsize == cached
+        (program,) = programs
+        assert program[2] == []
+        monkeypatch.setattr(residues, "WORK_LIMIT", 176)
         _partition_of.cache_clear()
-        with pytest.raises(BudgetExceeded, match="176 multiply-adds"):
-            multiplicity(theta(4), (0,) * 5)
-        assert len(_partition_of) == 0
+        assert multiplicity(theta(4), (0,) * 5) == 64
+        assert compiled == [16, 16] and programs == [program]
+        assert len(program[2]) == len(_steps(program))
 
     def test_a_lone_order_is_priced_before_it_runs(self, monkeypatch):
         # The rank-12 identity order steps once per depth 1 to 11: the sum of
