@@ -194,19 +194,23 @@ def _interpolate(xs: Sequence[int], ys: Sequence[int]) -> Tuple[Exact, ...]:
     return tuple(map(_exact, coeffs))
 
 
-def _ray_fit(counter, degree: int, step: int) -> Union[RayPolynomial, RayFitFailure]:
-    xs = [step * k for k in range(1, degree + 2)]
-    ys = [counter(n) for n in xs]
-    coeffs = _interpolate(xs, ys)
+def _ray_fit(formula, lifts: Sequence[Tuple[int, ...]], step: int) -> Union[RayPolynomial, RayFitFailure]:
+    """The ray N = k * step -> formula(*(k * lift for lift in lifts)), of
+    degree at most d = r(r-1)/2 for rank-r lifts: formula is called for
+    k = 1, ..., d + 3, interpolated on the first d + 1 samples and checked
+    on the last two."""
+    r = len(lifts[0]) - 1
+    d = r * (r - 1) // 2
+    ks = range(1, d + 4)
+    xs = tuple(step * k for k in ks)
+    ys = tuple(formula(*(tuple(k * x for x in lift) for lift in lifts)) for k in ks)
+    coeffs = _interpolate(xs[:d + 1], ys[:d + 1])
     top = len(coeffs)
     while top > 1 and coeffs[top - 1] == 0:
         top -= 1
-    check_points = (step * (degree + 2), step * (degree + 3))
-    poly = RayPolynomial(coeffs[:top], tuple(xs), check_points, step)
-    check_values = [counter(n) for n in check_points]
-    if any(poly.evaluate(n) != v for n, v in zip(check_points, check_values)):
-        return RayFitFailure(_CHAMBER_CROSSING, tuple(xs + list(check_points)),
-                             tuple(ys + check_values))
+    poly = RayPolynomial(coeffs[:top], xs[:d + 1], xs[d + 1:], step)
+    if any(poly.evaluate(n) != v for n, v in zip(xs[d + 1:], ys[d + 1:])):
+        return RayFitFailure(_CHAMBER_CROSSING, xs, ys)
     return poly
 
 
@@ -227,31 +231,15 @@ def multiplicity_polynomial(lam, mu: Sequence):
     in a RayFitFailure instead of a polynomial.
     """
     lam, mu = weight_pair(lam, mu)
-    r = lam.rank
-    degree = r * (r - 1) // 2
     shift, step = lam.canonical[-1], (lam.canonical[-1] - mu[-1]).denominator
-    lam_lift, mu_lift = _lift(lam.canonical, shift, step), _lift(mu, shift, step)
-
-    def counter(n: int) -> int:
-        k = n // step
-        return multiplicity(tuple(k * x for x in lam_lift), tuple(k * x for x in mu_lift))
-
-    return _ray_fit(counter, degree, step)
+    return _ray_fit(multiplicity, (_lift(lam.canonical, shift, step), _lift(mu, shift, step)), step)
 
 
 def tensor_polynomial(lam, mu, nu):
     """Polynomial N -> coefficient of V(N*nu) in V(N*lam) (x) V(N*mu)."""
     lam, mu, nu = weight_triple(lam, mu, nu)
-    r = lam.rank
-    degree = r * (r - 1) // 2
-
     shift1, shift2 = lam.canonical[-1], mu.canonical[-1]
     step = (shift1 + shift2 - nu.canonical[-1]).denominator
     lifts = (_lift(lam.canonical, shift1, step), _lift(mu.canonical, shift2, step),
              _lift(nu.canonical, shift1 + shift2, step))
-
-    def counter(n: int) -> int:
-        k = n // step
-        return tensor_product(*(tuple(k * x for x in v) for v in lifts))
-
-    return _ray_fit(counter, degree, step)
+    return _ray_fit(tensor_product, lifts, step)

@@ -4,6 +4,8 @@ from __future__ import annotations
 
 from typing import Sequence, Tuple
 
+from .vectors import ValidationError
+
 
 class Permutation:
     """A permutation w stored by its images (w(1), ..., w(m)), 1-based."""
@@ -15,7 +17,7 @@ class Permutation:
         m = len(images)
         # by type, not value: 2.0 == 2 and True == 1, but neither is an int image
         if any(type(i) is not int for i in images) or sorted(images) != list(range(1, m + 1)):
-            raise ValueError(f"not a permutation of 1..{m}: {images!r}")
+            raise ValidationError("bad-permutation", f"not a permutation of 1..{m}: {images!r}")
         self.images = images
         self._inversions = None
 
@@ -68,5 +70,5 @@ class Permutation:
     def apply(self, seq: Sequence) -> Tuple:
         """Rearrangement (seq_{w(1)}, ..., seq_{w(m)}) of a length-m sequence."""
         if len(seq) != len(self.images):
-            raise ValueError("sequence length does not match permutation size")
+            raise ValidationError("bad-length", "sequence length does not match permutation size")
         return tuple(seq[i - 1] for i in self.images)

@@ -38,7 +38,7 @@ exactly when a_1 + a_{r+1} > 0, the case in which the flip's chamber has at
 least as many non-negative subset sums; a single comparison, about half
 the orders, and no second search.  Each step's products P(r, depth) have a
 closed form, and a walk takes P times the classes of each step, so every
-walk is priced before a plan is bound: the compiler sums P over its prefix
+walk is priced before a plan is built: the compiler sums P over its prefix
 tree, exact for one column and a lower bound for a batch, and a batch's
 run prices it by the classes it merges.  A walk past WORK_LIMIT is refused
 with BudgetExceeded; a lone vector refused on one side of the flip tries
@@ -192,20 +192,20 @@ def _binomials(e: int, top: int) -> List[int]:
 
 def _compile(columns: Sequence[Sequence[Tuple[Tuple[int, ...], int]]]) -> tuple:
     """The walk of the prefix tree of the images w(1), w(2), ... of weighted
-    orders over exponent columns, flattened depth first, with no plan bound.
+    orders over exponent columns, flattened depth first: tuples only, which
+    no run changes.
 
     columns[j] lists the (w.images, sign) of column j's orders, as
-    _special_orders gives them, and may be empty.  Returns (steps, tops,
-    plans), steps the fields (depths, variables, shapes, holds, ends), one
-    entry per tree node but the root, and plans empty until a run binds one
-    per step.  Step n is the node (w(1), ..., w(k+1)) with k = depths[n]: it
-    reads the state that its parent, the last node of depth k before it,
-    left at depth k, takes the transposed residue in variable variables[n]
-    + 1 = w(k+1) for the columns holds[n] whose orders pass through it, and
-    leaves its state at depth k + 1.  The step of w(k+1) is the residue at
-    depth i = r - 1 - k, at the position p of w(k+1) among w(1), ...,
-    w(k+1): shapes[n] is (P(r, i), i, p), and its plan is _plan(r, i, p).
-    It is linear, so its sign, (-1)^(k - p) for the k - p active variables
+    _special_orders gives them, and may be empty.  Returns (steps, tops),
+    steps the fields (variables, shapes, holds, ends), one entry per tree
+    node but the root.  Step n is a node (w(1), ..., w(k+1)).  The step of
+    w(k+1) is the residue at depth i = r - 1 - k, at the position p of
+    w(k+1) among w(1), ..., w(k+1): shapes[n] is (P(r, i), i, p), and its
+    plan is _plan(r, i, p).  It reads the state that its parent, the last
+    node of residue depth i + 1 before it, left, takes the transposed
+    residue in variable variables[n] + 1 = w(k+1) for the columns holds[n]
+    whose orders pass through it, and leaves its state at depth i.  It is
+    linear, so its sign, (-1)^(k - p) for the k - p active variables
     above w(k+1), moves to the ends.  The first residue, in z_{w(r)} alone,
     only multiplies by C(e, 0) = 1, so above rank 1 w(r) takes no step and
     its sign joins the ends of the node (w(1), ..., w(r-1)): each (column,
@@ -217,7 +217,7 @@ def _compile(columns: Sequence[Sequence[Tuple[Tuple[int, ...], int]]]) -> tuple:
     Every step takes at least one class, so the sum over the steps of
     P(r, i) bounds any walk of the program from below, and it is exact for
     one column.  Past WORK_LIMIT the walk is refused before any plan is
-    looked up.
+    built.
     """
     items = sorted((images, j, sign) for j, orders in enumerate(columns) for images, sign in orders)
     r = len(items[0][0]) if items else 0
@@ -239,17 +239,17 @@ def _compile(columns: Sequence[Sequence[Tuple[Tuple[int, ...], int]]]) -> tuple:
                 i = r - 1 - d
                 tops[t - 1] = max(tops[t - 1], i + 1 + i * (i - 1) // 2)
                 path[d + 1] = len(steps)
-                steps.append((d, t - 1, (_products(r, i), i, p), lone or [], []))
+                steps.append((t - 1, (_products(r, i), i, p), lone or [], []))
         for d in range(1, full + 1) if lone is None else ():
             if last[d][j] != path[d]:
                 last[d][j] = path[d]
-                steps[path[d]][3].append(j)
-        steps[path[full]][4].append((j, j, signs[r] * sign))
+                steps[path[d]][2].append(j)
+        steps[path[full]][3].append((j, j, signs[r] * sign))
         prev = images
-    _priced(sum(shape[0] for _, _, shape, _, _ in steps))
+    _priced(sum(shape[0] for _, shape, _, _ in steps))
     # Tuples: the garbage collector stops tracking them, where lists stay tracked.
-    fields = tuple(zip(*[(d, v, shape, tuple(held), tuple(ends)) for d, v, shape, held, ends in steps]))
-    return fields or ((),) * 5, tuple(tops), []
+    fields = tuple(zip(*[(v, shape, tuple(held), tuple(ends)) for v, shape, held, ends in steps]))
+    return fields or ((),) * 4, tuple(tops)
 
 
 @lru_cache(maxsize=1024)
@@ -260,9 +260,8 @@ def _program(chambers: Tuple[bytes, ...]) -> tuple:
     serves any vectors of those chambers: a lone vector runs its chamber's
     1-tuple, and the samples of a ray share a few programs.  A tree that
     _compile refuses raises BudgetExceeded, which the cache does not keep; a
-    batch that _run refuses by its classes leaves its tree here unbound, no
-    larger than a program that runs, for vectors of those chambers whose
-    exponents merge more."""
+    batch that _run refuses by its classes leaves its tree here, for vectors
+    of those chambers whose exponents merge more."""
     orders = {chamber: _special_orders(chamber) for chamber in dict.fromkeys(chambers)}
     return _compile([orders[chamber] for chamber in chambers])
 
@@ -286,23 +285,24 @@ def _run(program: tuple, exponent_columns: Sequence[Sequence[int]]) -> List[int]
     before any state: per step, each class by its (exponent, parent class),
     and the class of each of its ends.  The walk's price is then P(r, i)
     times the classes of each step, refused past WORK_LIMIT; one column is
-    one class per step, priced exactly by _compile.  The first run that its price
-    admits binds every step's plan, all or none.  Each variable's binomials
-    are bound once per run, one list per distinct exponent, which every
-    column of that exponent holds.
+    one class per step, priced exactly by _compile.  The walk looks up each
+    step's plan as it takes the step, so a refused walk builds none, and it
+    writes nothing into the program.  Each variable's binomials are bound
+    once per run, one list per distinct exponent, which every column of
+    that exponent holds.
     """
-    (depths, variables, shapes, holds, ends), tops, plans = program
-    width = len(exponent_columns)
+    (variables, shapes, holds, ends), tops = program
+    r, width = len(tops), len(exponent_columns)
     if width == 1:  # column 0 names every class
         binomials = list(zip(map(_binomials, exponent_columns[0], tops)))
         merged = repeat({(0, 0): 0}.items())
     else:  # one list per distinct exponent, held by each of its columns
         exponents = list(zip(*exponent_columns))
         binomials = [tuple(map({e: _binomials(e, top) for e in set(ev)}.get, ev)) for ev, top in zip(exponents, tops)]
-        classes = [[0] * width for _ in range(len(tops) + 1)]  # per depth, each column's class
+        classes = [[0] * width for _ in range(r + 1)]  # per residue depth, each column's class; the root's last
         merged, resolved, work = [], [], 0
-        for d, v, (products, _, _), held, reached in zip(depths, variables, shapes, holds, ends):
-            ev, cls, child, reps = exponents[v], classes[d], classes[d + 1], {}
+        for v, (products, i, _), held, reached in zip(variables, shapes, holds, ends):
+            ev, cls, child, reps = exponents[v], classes[i + 1], classes[i], {}
             for j in held:
                 child[j] = reps.setdefault((ev[j], cls[j]), j)
             merged.append(reps.items())
@@ -310,16 +310,14 @@ def _run(program: tuple, exponent_columns: Sequence[Sequence[int]]) -> List[int]
             work += products * len(reps)
         _priced(work)
         ends = resolved
-    if not plans:
-        plans[:] = [_plan(len(tops), i, p)[1] for _, i, p in shapes]
-    states = [{0: [1]}] + [None] * len(tops)  # per depth, each class's covector
+    states = [None] * r + [{0: [1]}]  # per residue depth, each class's covector; the root's last
     totals = [0] * width
-    for d, v, into, reps, reached in zip(depths, variables, plans, merged, ends):
-        b, parents, state = binomials[v], states[d], {}
+    for v, (_, i, p), reps, reached in zip(variables, shapes, merged, ends):
+        into, b, parents, state = _plan(r, i, p)[1], binomials[v], states[i + 1], {}
         for (_, c), j in reps:
             out, bins = parents[c], b[j]
             state[j] = [sum([out[k] * bins[m0] for k, m0 in src]) for src in into]
-        states[d + 1] = state
+        states[i] = state
         for j, c, sign in reached:
             totals[j] += sign * state[c][0]
     return totals
@@ -339,7 +337,7 @@ def iterated_residue(w: Permutation, exponents: Sequence[int]):
     `exponents` are the numerator exponents (e_1, ..., e_r) of the standard
     integrand; the denominator z_1...z_r prod_{i<j}(z_i - z_j) is implicit.
     The order of no variables is refused with bad-length, and a walk past
-    WORK_LIMIT with budget-exceeded before any plan is bound.
+    WORK_LIMIT with budget-exceeded before any plan is built.
     """
     exponents = _sized(exponents, len(w))
     if not exponents:

@@ -427,7 +427,8 @@ class TestMultiplicityPolynomial:
             assert fit.step == (r + 1) // math.gcd(r + 1, c), (lam_fc, mu_fc)
 
     def test_non_polynomial_counts_report_chamber_crossing(self):
-        fit = _ray_fit(lambda n: n ** 3, 1, 2)
+        # Rank 2, degree at most 1, step 2: N = 2k samples (2k)^3 at k = 1..4.
+        fit = _ray_fit(lambda lift: (2 * lift[0]) ** 3, [(1, 0, -1)], 2)
         assert isinstance(fit, RayFitFailure)
         assert fit.reason == "ray crosses chamber structure inconsistently"
         assert fit.sample_points == (2, 4, 6, 8)

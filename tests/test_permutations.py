@@ -18,18 +18,21 @@ class TestConstruction:
         assert w.signature == 1
 
     def test_rejects_non_bijection(self):
-        with pytest.raises(ValueError):
+        with pytest.raises(ValueError) as err:
             Permutation((1, 1, 3))
+        assert err.value.code == "bad-permutation"
 
     def test_rejects_wrong_range(self):
-        with pytest.raises(ValueError):
+        with pytest.raises(ValueError) as err:
             Permutation((0, 1, 2))
+        assert err.value.code == "bad-permutation"
 
     @pytest.mark.parametrize("images", [(2.0, 1.0), (True,), (1, 2.0), (Fraction(1),)])
     def test_rejects_images_that_are_not_ints(self, images):
         # each compares equal to the images of a permutation: only the type tells
-        with pytest.raises(ValueError, match="not a permutation"):
+        with pytest.raises(ValueError, match="not a permutation") as err:
             Permutation(images)
+        assert err.value.code == "bad-permutation"
 
 
 class TestStatistics:
@@ -62,8 +65,9 @@ class TestApply:
 
     @pytest.mark.parametrize("seq", [(), (5, 6), (5, 6, 7, 8)])
     def test_apply_refuses_a_sequence_of_the_wrong_length(self, seq):
-        with pytest.raises(ValueError, match="length"):
+        with pytest.raises(ValueError, match="length") as err:
             Permutation((3, 1, 2)).apply(seq)
+        assert err.value.code == "bad-length"
 
 
 class TestValueSemantics:

@@ -4,6 +4,7 @@ import itertools
 import math
 import random
 import re
+from collections import namedtuple
 from fractions import Fraction
 from functools import lru_cache
 from operator import mul
@@ -37,23 +38,38 @@ from kostant.residues import (
 from kostant.vectors import DominantWeight, ValidationError, deform, in_positive_cone, is_regular, subset_sums, theta
 
 
+Step = namedtuple("Step", "depth variable products position holds ends top")
+
+
 def _steps(program):
-    """A program's steps as (depth, variable, shape, holds, ends) tuples."""
-    return list(zip(*program[0]))
+    """A program's steps, named: the tree depth k of the node (w(1), ...,
+    w(k+1)), which a residue depth i puts at r - 1 - i, its variable w(k+1)
+    - 1, the products P(r, i) and the position of its shape, the columns it
+    holds, its ends, and its variable's top.  The one reader of a program's
+    layout in the tests."""
+    (variables, shapes, holds, ends), tops = program
+    r = len(tops)
+    return [Step(r - 1 - i, v, products, p, held, reached, tops[v])
+            for v, (products, i, p), held, reached in zip(variables, shapes, holds, ends)]
 
 
 def _classes(program, exponent_columns):
     """Per step, the number of distinct exponent tuples that the columns it
     holds have on the variables of its node's prefix."""
     prefix, counts = [], []
-    for depth, variable, _, holds, _ in _steps(program):
-        prefix[depth:] = [variable]
-        counts.append(len({tuple(exponent_columns[j][v] for v in prefix) for j in holds}))
+    for step in _steps(program):
+        prefix[step.depth:] = [step.variable]
+        counts.append(len({tuple(exponent_columns[j][v] for v in prefix) for j in step.holds}))
     return counts
 
 
 def _refused(*args):
     raise AssertionError("pricing a walk built a plan")
+
+
+def _plans_built():
+    """The plans built so far: a warm lookup is a hit, never a miss."""
+    return _plan.cache_info().misses
 
 
 def _named(refusal):
@@ -561,8 +577,9 @@ class TestCompiledStep:
         orders += [(images, 1) for images in itertools.permutations((1, 2, 3))]
         wide = _compile([orders] * 3)
         narrow = _compile([orders])
-        assert all(holds == (0, 1, 2) for _, _, _, holds, _ in _steps(wide))
-        assert [step[:3] for step in _steps(wide)] == [step[:3] for step in _steps(narrow)]
+        assert all(step.holds == (0, 1, 2) for step in _steps(wide))
+        assert [(s.depth, s.variable, s.products, s.position) for s in _steps(wide)] == [
+            (s.depth, s.variable, s.products, s.position) for s in _steps(narrow)]
         for columns in [((0, 5, -4), (3, 0, 0), (-2, 1, 7)), ((0, 0, 0), (1, -1, 0), (10**9, -10**9, 2)),
                         ((1, 2, 3), (1, 2, 4), (1, 5, 3))]:
             got = _run(wide, columns)
@@ -586,7 +603,7 @@ class TestCompiledStep:
         # images of the two columns' orders, 123 and 213 in one, 123 and 312 in
         # the other; only 123 is shared, and the last image takes no step.
         steps = _steps(programs[-1])
-        assert [(depth, variable + 1, len(holds)) for depth, variable, _, holds, _ in steps] == [
+        assert [(s.depth, s.variable + 1, len(s.holds)) for s in steps] == [
             (0, 1, 2), (1, 2, 2), (0, 2, 1), (1, 1, 1), (0, 3, 1), (1, 1, 1)]
         # A multiplicity's terms share one program: the three nodes of w(1) in
         # theta(5)'s hold 66, 18 and 18 of its 66 columns, each node some of
@@ -595,16 +612,16 @@ class TestCompiledStep:
         assert multiplicity(theta(5), (0,) * 6) == 1024
         steps = _steps(programs[-1])
         assert len(steps) == 18
-        assert [len(holds) for depth, _, _, holds, _ in steps if depth == 0] == [66, 18, 18]
+        assert [len(s.holds) for s in steps if s.depth == 0] == [66, 18, 18]
         parents = {}
-        for n, (depth, _, _, holds, _) in enumerate(steps):
-            parents[depth] = set(holds)
-            assert depth == 0 or parents[depth] <= parents[depth - 1], n
+        for n, s in enumerate(steps):
+            parents[s.depth] = set(s.holds)
+            assert s.depth == 0 or parents[s.depth] <= parents[s.depth - 1], n
         _partition_of.cache_clear()
         assert multiplicity((2, 1, 0, -3), (0, 0, 0, 0)) == 8
         steps = _steps(programs[-1])
-        assert len({j for _, _, _, holds, _ in steps for j in holds}) == 3
-        assert any(len(holds) == 1 for _, _, _, holds, _ in steps)
+        assert len({j for s in steps for j in s.holds}) == 3
+        assert any(len(s.holds) == 1 for s in steps)
 
     @settings(max_examples=80, deadline=None)
     @given(_cone_vectors())
@@ -681,9 +698,9 @@ class TestCompiledStep:
         # order's variable k + 1 steps at depth r - 1 - k, but w(r) above rank 1.
         for r in range(1, 8):
             keys = [((-1,) * r,)] + [_plan(r, d, 0)[0] for d in range(r - 1)]
-            steps = max(r - 1, 1)
-            assert _compile([[(tuple(range(1, r + 1)), 1)]])[1] == tuple(
-                -min(map(min, keys[r - 1 - k])) for k in range(steps)) + (0,) * (r - steps), r
+            steps = _steps(_compile([[(tuple(range(1, r + 1)), 1)]]))
+            assert [(s.variable, s.top) for s in steps] == [
+                (k, -min(map(min, keys[r - 1 - k]))) for k in range(max(r - 1, 1))], r
 
     @pytest.mark.parametrize("r, multiply_adds", [(4, 176), (5, 2886), (6, 73156), (7, 2251836)])
     def test_theta_multiply_adds(self, monkeypatch, r, multiply_adds):
@@ -712,11 +729,10 @@ class TestCompiledStep:
                     multiplicity(theta(r), (0,) * (r + 1))
         assert multiply_adds <= residues.WORK_LIMIT
         # The priced classes are the walk's: each step's products times its
-        # classes, summed over the program, which no run has bound.
+        # classes, summed over the program.
         ((program, columns),) = runs
-        assert program[2] == []
-        products = [products for _, _, (products, _, _), _, _ in _steps(program)]
-        assert products == [residues._products(r, depth) for _, _, (_, depth, _), _, _ in _steps(program)]
+        products = [s.products for s in _steps(program)]
+        assert products == [residues._products(r, r - 1 - s.depth) for s in _steps(program)]
         assert sum(products) == lower
         assert sum(map(mul, products, _classes(program, columns))) == multiply_adds
 
@@ -824,7 +840,7 @@ class TestChamberProgram:
         program = _program(tuple(map(_chamber, batch)))
         totals = _run(program, columns)
         # The first term comes twice, so some step merges columns.
-        assert sum(_classes(program, columns)) < sum(len(holds) for _, _, _, holds, _ in _steps(program))
+        assert sum(_classes(program, columns)) < sum(len(s.holds) for s in _steps(program))
         for a, total in zip(batch, totals):
             assert _run(_program((_chamber(a),)), [_exponents(a)]) == [total], a
             if len(a) <= 5 and max(map(abs, a)) <= 12 and in_positive_cone(a):
@@ -861,11 +877,39 @@ class TestChamberProgram:
         assert partition_counts([a]) == [kostant_partition_bruteforce(a)]
 
         def refused(*args):
-            raise AssertionError("a warm one-vector count compiled a program or looked up a plan")
+            raise AssertionError("a warm one-vector count compiled a program")
 
-        for name in ("_compile", "_plan", "_special_orders"):
+        for name in ("_compile", "_special_orders"):
             monkeypatch.setattr(residues, name, refused)
+        built = _plans_built()
         assert partition_counts([b]) == [expected]
+        assert _plans_built() == built
+
+    def test_a_cached_program_is_a_value(self, monkeypatch):
+        # The program of theta(4)'s 16 terms hashes, and no run changes it:
+        # not its first, with the plans cold, nor a warm one, nor one that
+        # its classes refuse (176 multiply-adds under a limit of 175).
+        sequences = []
+        program_ = residues._program
+        with monkeypatch.context() as m:
+            m.setattr(residues, "_program", lambda chambers: sequences.append(chambers) or program_(chambers))
+            _partition_of.cache_clear()
+            multiplicity(theta(4), (0,) * 5)
+        (chambers,) = sequences
+        _program.cache_clear()
+        _plan.cache_clear()
+        program = _program(chambers)
+        value = hash(program)
+        for refused in (False, False, True):
+            _partition_of.cache_clear()
+            if refused:
+                monkeypatch.setattr(residues, "WORK_LIMIT", 175)
+                with pytest.raises(BudgetExceeded, match="walk of 176 multiply-adds"):
+                    multiplicity(theta(4), (0,) * 5)
+            else:
+                assert multiplicity(theta(4), (0,) * 5) == 64
+            assert _program(chambers) is program and hash(program) == value
+        assert _program.cache_info()[:2] == (6, 1)  # each run read the one program
 
     def test_program_cache_stays_bounded(self):
         stream = list(_cheap_stream(8, 600))
@@ -919,12 +963,13 @@ class TestBoundOnce:
         assert len(widths) == _program.cache_info().misses == programs
 
         def refused(*args):
-            raise AssertionError("a repeated ray compiled a program or looked up a plan")
+            raise AssertionError("a repeated ray compiled a program")
 
         monkeypatch.setattr(residues, "_compile", refused)
-        monkeypatch.setattr(residues, "_plan", refused)
+        built = _plans_built()
         _partition_of.cache_clear()
         assert multiplicity_polynomial(theta(r), (0,) * (r + 1)) == poly
+        assert _plans_built() == built
 
     @pytest.mark.parametrize("query, r, searches, programs", [
         (multiplicity, 4, 2, 1), (multiplicity, 5, 5, 1), (multiplicity, 6, 19, 1),
@@ -988,7 +1033,7 @@ class TestBoundOnce:
         columns = [_exponents(a) for a in batch]
         assert _run(program, columns) == [kostant_partition_bruteforce(a) for a in batch] == [610, 1291, 80]
         steps = _steps(program)
-        assert len(steps) > 5 and any(len(holds) < 3 for _, _, _, holds, _ in steps)
+        assert len(steps) > 5 and any(len(s.holds) < 3 for s in steps)
         assert sorted(calls) == sorted(e for exponents in zip(*columns) for e in set(exponents))
         assert len(calls) == 12
 
@@ -1008,10 +1053,10 @@ class TestBoundOnce:
         assert multiplicity(theta(7), (0,) * 8) == 2 ** 21
         assert compiled == [_partition_of.cache_info().misses] == [2466]
 
-    def test_a_failed_bind_binds_no_plan(self, monkeypatch):
-        # A _plan that fails on its third call, with every plan warm, leaves
-        # the cached program with no plan bound, so the next run binds them
-        # all and answers; a part-bound program would drop the unbound steps.
+    def test_a_failed_plan_lookup_leaves_the_program_answering(self, monkeypatch):
+        # A _plan that fails on its third call, with every plan warm, stops a
+        # walk partway; the cached program, which no run writes, takes all
+        # six steps on the next run and answers.
         a = (5, 3, -2, 1, -7)  # a_1 + a_5 < 0: counted on its own side
         _partition_of.cache_clear()
         _program.cache_clear()
@@ -1030,10 +1075,10 @@ class TestBoundOnce:
             m.setattr(residues, "_plan", failing)
             with pytest.raises(MemoryError):
                 kostant_partition(a)
+        assert len(calls) == 3
         program = _program((_chamber(a),))
-        bound = len(program[2])
         assert kostant_partition(a) == 1729
-        assert bound == 0 and len(program[2]) == len(_steps(program)) == 6
+        assert len(_steps(program)) == 6
         assert _program.cache_info()[:2] == (2, 1)
 
 
@@ -1227,11 +1272,11 @@ class TestWorkLimit:
             assert len(_partition_of) == 0 and _program.cache_info().currsize == 0
         assert kostant_partition(a) == kostant_partition_bruteforce(a)
 
-    def test_a_batch_refused_by_its_classes_keeps_its_unbound_tree(self, monkeypatch):
+    def test_a_batch_refused_by_its_classes_keeps_its_tree(self, monkeypatch):
         # theta(4)'s 16 terms: 176 multiply-adds by their classes, at least
         # 34 by their tree.  Under 33 _compile refuses the tree, uncached.
-        # Under 175 _run refuses the walk, and the tree stays cached with no
-        # plan bound; under 176 that tree binds its plans and runs.
+        # Under 175 _run refuses the walk before it builds a plan, and the
+        # tree stays cached; under 176 that tree runs.
         compiled, programs = [], []
         compile_ = residues._compile
 
@@ -1242,6 +1287,7 @@ class TestWorkLimit:
 
         monkeypatch.setattr(residues, "_compile", spied)
         _program.cache_clear()
+        _plan.cache_clear()
         for limit, cached in ((33, 0), (175, 1)):
             monkeypatch.setattr(residues, "WORK_LIMIT", limit)
             _partition_of.cache_clear()
@@ -1249,12 +1295,12 @@ class TestWorkLimit:
                 multiplicity(theta(4), (0,) * 5)
             assert len(_partition_of) == 0 and _program.cache_info().currsize == cached
         (program,) = programs
-        assert program[2] == []
+        assert _plans_built() == 0
         monkeypatch.setattr(residues, "WORK_LIMIT", 176)
         _partition_of.cache_clear()
         assert multiplicity(theta(4), (0,) * 5) == 64
         assert compiled == [16, 16] and programs == [program]
-        assert len(program[2]) == len(_steps(program))
+        assert _plans_built() > 0
 
     def test_a_lone_order_is_priced_before_it_runs(self, monkeypatch):
         # The rank-12 identity order steps once per depth 1 to 11: the sum of
